@@ -27,6 +27,7 @@ from .geometry import (
 )
 from .farey import (
     FareyWalker,
+    farey_rank,
     index_of,
     index_sequence,
     index_stream,
@@ -65,6 +66,7 @@ from .stats import (
     lu_counts,
     lu_records,
     moment_record,
+    moment_records,
     partial_index_sum,
     partial_record,
     second_moment_record,

@@ -232,10 +232,32 @@ def cmd_tables(args) -> int:
     return 0
 
 
+def _converge_usage_problem(args, q_list: list[int]) -> Optional[str]:
+    """What is out of domain in the converge arguments, or None."""
+    if q_list[0] < 1:
+        return "every order in --q-list must be >= 1"
+    if any(h < 1 for h in args.h or []):
+        return "every --h must be >= 1"
+    if any(k < 1 for k in args.k or []):
+        return "every --k must be >= 1"
+    if any(not 0 < alpha <= 2 for alpha in args.alpha or []):
+        return "every --alpha must lie in (0, 2]"
+    if args.stat == "partial":
+        if any(not 0 <= t <= 1 for t in args.t or []):
+            return "every --t must lie in [0, 1]"
+    elif any(not 0 < t <= 1 for t in args.t or []):
+        return "every --t must lie in (0, 1]"
+    return None
+
+
 def cmd_converge(args) -> int:
     q_list = args.q_list or ([args.q] if args.q else [])
     if not q_list or sorted(q_list) != q_list:
         _progress("converge: need an ascending --q-list")
+        return 2
+    problem = _converge_usage_problem(args, q_list)
+    if problem:
+        _progress(f"converge: {problem}")
         return 2
     workers = args.workers
     out = _Output(
@@ -262,11 +284,7 @@ def cmd_converge(args) -> int:
                 else:
                     records.append(stats.autocorr_record(q, h, workers=workers))
         elif args.stat == "moment":
-            for alpha in args.alpha or [Fraction(1)]:
-                if alpha == 2:
-                    records.append(stats.second_moment_record(q, workers=workers))
-                else:
-                    records.append(stats.moment_record(q, alpha, workers=workers))
+            records.extend(stats.moment_records(q, args.alpha or [Fraction(1)], workers=workers))
         elif args.stat == "LU":
             for k in args.k or [1]:
                 for t in args.t or [Fraction(1)]:

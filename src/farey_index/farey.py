@@ -142,6 +142,52 @@ def seek(order: int, t) -> FareyWalker:
     return FareyWalker(order, Fraction(a, b), Fraction(a2, q2))
 
 
+def _moebius(n: int) -> list[int]:
+    """mu(0..n) by an Eratosthenes sieve (mu[0] is unused)."""
+    mu = [1] * (n + 1)
+    composite = bytearray(n + 1)
+    for p in range(2, n + 1):
+        if not composite[p]:  # p prime
+            for m in range(p, n + 1, p):
+                composite[m] = 1
+                mu[m] = -mu[m]
+            for m in range(p * p, n + 1, p * p):
+                mu[m] = 0
+    return mu
+
+
+def farey_ranks(order: int, cuts) -> list[int]:
+    """#{gamma in F_Q : gamma <= t} for each t in `cuts`, from one Moebius sieve.
+
+    The pairs (a, q) with 1 <= q <= m and 1 <= a <= t q number
+    S_t(m) = sum_{q <= m} floor(t q); removing the non-reduced ones by Moebius
+    inversion leaves sum_d mu(d) S_t(floor(Q/d)).  O(Q) time per cut point,
+    and no memory beyond the sieve.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    mu = _moebius(order)
+    ranks = []
+    for t in cuts:
+        t = Fraction(t)
+        if not (0 <= t <= 1):
+            raise ValueError("t must lie in [0, 1]")
+        p, r = t.numerator, t.denominator
+        rank = s = m = 0  # s = S_t(m); m = floor(Q/d) grows as d falls
+        for d in range(order, 0, -1):
+            while m < order // d:
+                m += 1
+                s += p * m // r
+            rank += mu[d] * s
+        ranks.append(rank)
+    return ranks
+
+
+def farey_rank(order: int, t) -> int:
+    """#{gamma in F_Q : gamma <= t}, the number of elements of (0, t] in F_Q."""
+    return farey_ranks(order, (t,))[0]
+
+
 def index_stream(order: int) -> Iterator[int]:
     """Indices nu(gamma_1), nu(gamma_2), ... as an infinite generator.
 

@@ -1,26 +1,32 @@
 """Exact large-Q enumeration of Farey index statistics.
 
-Every statistic walks the sequence with the integer recurrence (one division
-per element, denominators only unless a subinterval restriction needs the
-fractions themselves) and is exact: sums and counts are Python integers,
-comparisons against asymptotic predictions happen only at report time.
+Every statistic walks the sequence with the denominator-only integer
+recurrence (one division per element) and is exact: sums and counts are
+Python integers, comparisons against asymptotic predictions happen only at
+report time.
 
-All walks over (0, t] can be split into subinterval chunks whose partial sums
-merge associatively; results are identical for every chunk count, which is
-what makes the `workers` parameter a pure throughput knob.
-"""
+A walk over (0, t] is split into `workers` subinterval chunks.  Each chunk
+starts from the denominators `seek` finds at its left end and runs for an
+exact step count, the difference of the Farey ranks of its two ends, so no
+kernel carries numerators or compares fractions; a serial run is the
+one-chunk case.  Partial results merge associatively, so results are
+identical for every chunk count, which is what makes the `workers` parameter
+a pure throughput knob."""
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
+import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple, Union
 
 from . import bcz
-from .farey import seek, totient_summatory
+from .farey import farey_ranks, seek, totient_summatory
 from .geometry import ConvexPolygon
 
 Number = Union[int, float, Fraction]
@@ -61,82 +67,57 @@ def second_moment_prediction(q_max: int) -> float:
 # chunked walking machinery
 # ---------------------------------------------------------------------------
 
-def _chunk_bounds(t_end: Fraction, workers: int) -> list[Tuple[Fraction, Fraction]]:
-    w = max(1, int(workers))
-    cuts = [t_end * j / w for j in range(w + 1)]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _interval_state(order: int, t0: Fraction):
-    """Denominator/numerator state of the walker seeked to t0."""
-    w = seek(order, t0)
-    return (
-        w.prev.numerator,
-        w.prev.denominator,
-        w.curr.numerator,
-        w.curr.denominator,
-    )
-
-
 def _chunk_index_sum(task) -> int:
-    """Exact sum of indices over gamma in (t0, t1]."""
-    order, t0, t1 = task
-    pn, pd, cn, cd = _interval_state(order, t0)
-    n1, d1 = t1.numerator, t1.denominator
+    """Exact sum of the indices of `steps` consecutive elements."""
+    order, pd, cd, steps = task
     total = 0
-    while cn * d1 <= n1 * cd:
+    for _ in range(steps):
         k = (order + pd) // cd
         total += k
-        pn, pd, cn, cd = cn, cd, k * cn - pn, k * cd - pd
+        pd, cd = cd, k * cd - pd
     return total
 
 
 def _chunk_histogram(task) -> dict:
-    """Exact counts of each index value over gamma in (t0, t1].
+    """Exact counts {index value: occurrences} over `steps` consecutive elements.
 
     Counts merge associatively, so any chunking reproduces the same histogram
     and every statistic derived from it is independent of the worker count.
     """
-    order, t0, t1 = task
-    pn, pd, cn, cd = _interval_state(order, t0)
-    n1, d1 = t1.numerator, t1.denominator
-    hist: dict = {}
-    while cn * d1 <= n1 * cd:
+    order, pd, cd, steps = task
+    counts = [0] * (2 * order + 1)  # counts[nu]; nu <= 2Q, attained at gamma = 1
+    for _ in range(steps):
         k = (order + pd) // cd
-        hist[k] = hist.get(k, 0) + 1
-        pn, pd, cn, cd = cn, cd, k * cn - pn, k * cd - pd
-    return hist
+        counts[k] += 1
+        pd, cd = cd, k * cd - pd
+    return {k: c for k, c in enumerate(counts) if c}
 
 
 def _chunk_autocorr(task) -> int:
-    """Sum of nu_i * nu_{i+h} over gamma_i in (t0, t1]."""
-    order, h, t0, t1 = task
-    pn, pd, cn, cd = _interval_state(order, t0)
+    """Sum of nu_i * nu_{i+h} over `steps` consecutive elements gamma_i."""
+    order, h, pd, cd, steps = task
     # lookahead denominators, advanced h elements
     lp, lc = pd, cd
     for _ in range(h):
         k = (order + lp) // lc
         lp, lc = lc, k * lc - lp
-    n1, d1 = t1.numerator, t1.denominator
     total = 0
-    while cn * d1 <= n1 * cd:
+    for _ in range(steps):
         k = (order + pd) // cd
         kh = (order + lp) // lc
         total += k * kh
-        pn, pd, cn, cd = cn, cd, k * cn - pn, k * cd - pd
+        pd, cd = cd, k * cd - pd
         lp, lc = lc, kh * lc - lp
     return total
 
 
 def _chunk_lu(task) -> Tuple[int, int]:
     """Counts of the low/high threshold coincidences nu = floor((2Q+1)/q) - 1 (or -0)."""
-    order, k_target, t0, t1 = task
-    pn, pd, cn, cd = _interval_state(order, t0)
-    n1, d1 = t1.numerator, t1.denominator
+    order, k_target, pd, cd, steps = task
     top = 2 * order + 1
     low = 0
     high = 0
-    while cn * d1 <= n1 * cd:
+    for _ in range(steps):
         k = (order + pd) // cd
         if k == k_target:
             v = top // cd
@@ -144,32 +125,37 @@ def _chunk_lu(task) -> Tuple[int, int]:
                 low += 1
             elif k == v:
                 high += 1
-        pn, pd, cn, cd = cn, cd, k * cn - pn, k * cd - pd
+        pd, cd = cd, k * cd - pd
     return low, high
 
 
-_CHUNK_FNS = {
-    "sum": _chunk_index_sum,
-    "hist": _chunk_histogram,
-    "autocorr": _chunk_autocorr,
-    "lu": _chunk_lu,
-}
+def _run_chunks(kernel, q_max: int, t_end: Fraction, workers: int, *params) -> list:
+    """Results of `kernel` on `workers` equal slices (t0, t1] of (0, t_end], in order.
 
-
-def _dispatch(task):
-    kind, payload = task
-    return _CHUNK_FNS[kind](payload)
-
-
-def _run_chunks(kind: str, payloads: list, workers: int) -> list:
-    tasks = [(kind, p) for p in payloads]
-    if workers > 1 and len(tasks) > 1:
+    Each chunk starts from the denominators `seek` finds at t0 and runs for
+    the exact step count rank(t1) - rank(t0), so no kernel needs a fraction.
+    The pool never has more processes than the host has CPUs; the chunks,
+    and so every merged result, do not depend on it.
+    """
+    w = max(1, int(workers))
+    cuts = [t_end * j / w for j in range(w + 1)]
+    ranks = farey_ranks(q_max, cuts)
+    tasks = []
+    for t0, r0, r1 in zip(cuts, ranks, ranks[1:]):
+        start = seek(q_max, t0)
+        tasks.append((q_max, *params, start.prev.denominator, start.curr.denominator, r1 - r0))
+    processes = min(w, os.cpu_count() or 1)
+    if processes > 1:
         try:
-            with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-                return pool.map(_dispatch, tasks)
-        except OSError:
-            pass  # no process support here; chunked merge is identical anyway
-    return [_dispatch(t) for t in tasks]
+            with multiprocessing.Pool(processes) as pool:
+                return pool.map(kernel, tasks)
+        except OSError as exc:
+            warnings.warn(
+                f"process pool unavailable ({exc}); running {w} chunks serially",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return [kernel(task) for task in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +164,7 @@ def _run_chunks(kind: str, payloads: list, workers: int) -> list:
 
 def sum_index(q_max: int, workers: int = 1) -> int:
     """Exact sum of all N(Q) indices; equals 3 N(Q) - 1 identically."""
-    if workers > 1:
-        return partial_index_sum(q_max, Fraction(1), workers=workers)
-    total = 0
-    qp, qc = 1, q_max
-    for _ in range(totient_summatory(q_max)):
-        k = (q_max + qp) // qc
-        total += k
-        qp, qc = qc, k * qc - qp
-    return total
+    return sum(_run_chunks(_chunk_index_sum, q_max, Fraction(1), workers))
 
 
 def partial_index_sum(q_max: int, t, workers: int = 1) -> int:
@@ -194,10 +172,7 @@ def partial_index_sum(q_max: int, t, workers: int = 1) -> int:
     t = Fraction(t)
     if not (0 <= t <= 1):
         raise ValueError("t must lie in [0, 1]")
-    if t == 0:
-        return 0
-    payloads = [(q_max, t0, t1) for t0, t1 in _chunk_bounds(t, workers)]
-    return sum(_run_chunks("sum", payloads, workers))
+    return sum(_run_chunks(_chunk_index_sum, q_max, t, workers))
 
 
 def index_histogram(q_max: int, t=Fraction(1), workers: int = 1) -> dict:
@@ -205,12 +180,19 @@ def index_histogram(q_max: int, t=Fraction(1), workers: int = 1) -> dict:
     t = Fraction(t)
     if not (0 < t <= 1):
         raise ValueError("t must lie in (0, 1]")
-    payloads = [(q_max, t0, t1) for t0, t1 in _chunk_bounds(t, workers)]
-    merged: dict = {}
-    for part in _run_chunks("hist", payloads, workers):
-        for k, c in part.items():
-            merged[k] = merged.get(k, 0) + c
-    return merged
+    merged = Counter()
+    for part in _run_chunks(_chunk_histogram, q_max, t, workers):
+        merged.update(part)
+    return dict(merged)
+
+
+def _power_sum(hist: dict, alpha: Fraction) -> Union[int, float]:
+    """Sum of c * k^alpha over a histogram, in ascending order of k."""
+    if alpha.denominator == 1:
+        e = alpha.numerator
+        return sum(c * k**e for k, c in sorted(hist.items()))
+    a = float(alpha)
+    return sum(c * float(k) ** a for k, c in sorted(hist.items()))
 
 
 def sum_index_power(q_max: int, alpha, workers: int = 1) -> Union[int, float]:
@@ -224,12 +206,7 @@ def sum_index_power(q_max: int, alpha, workers: int = 1) -> Union[int, float]:
         raise ValueError("alpha must be positive")
     if alpha == 1:
         return sum_index(q_max, workers=workers)
-    hist = index_histogram(q_max, workers=workers)
-    if alpha.denominator == 1:
-        e = alpha.numerator
-        return sum(c * k**e for k, c in sorted(hist.items()))
-    a = float(alpha)
-    return sum(c * float(k) ** a for k, c in sorted(hist.items()))
+    return _power_sum(index_histogram(q_max, workers=workers), alpha)
 
 
 def autocorr_sum(q_max: int, h: int, workers: int = 1) -> int:
@@ -238,22 +215,7 @@ def autocorr_sum(q_max: int, h: int, workers: int = 1) -> int:
         raise ValueError("h must be >= 1")
     n = totient_summatory(q_max)
     h = h % n or n  # the index sequence has period N(Q)
-    if workers > 1:
-        payloads = [(q_max, h, t0, t1) for t0, t1 in _chunk_bounds(Fraction(1), workers)]
-        return sum(_run_chunks("autocorr", payloads, workers))
-    qp, qc = 1, q_max
-    lp, lc = 1, q_max
-    for _ in range(h):
-        k = (q_max + lp) // lc
-        lp, lc = lc, k * lc - lp
-    total = 0
-    for _ in range(n):
-        k = (q_max + qp) // qc
-        kh = (q_max + lp) // lc
-        total += k * kh
-        qp, qc = qc, k * qc - qp
-        lp, lc = lc, kh * lc - lp
-    return total
+    return sum(_run_chunks(_chunk_autocorr, q_max, Fraction(1), workers, h))
 
 
 def autocorr_sum_interval(q_max: int, h: int, t, workers: int = 1) -> int:
@@ -263,8 +225,7 @@ def autocorr_sum_interval(q_max: int, h: int, t, workers: int = 1) -> int:
     t = Fraction(t)
     if not (0 < t <= 1):
         raise ValueError("t must lie in (0, 1]")
-    payloads = [(q_max, h, t0, t1) for t0, t1 in _chunk_bounds(t, workers)]
-    return sum(_run_chunks("autocorr", payloads, workers))
+    return sum(_run_chunks(_chunk_autocorr, q_max, t, workers, h))
 
 
 def lu_counts(q_max: int, k: int, t=Fraction(1), workers: int = 1) -> Tuple[int, int]:
@@ -274,9 +235,8 @@ def lu_counts(q_max: int, k: int, t=Fraction(1), workers: int = 1) -> Tuple[int,
     t = Fraction(t)
     if not (0 < t <= 1):
         raise ValueError("t must lie in (0, 1]")
-    payloads = [(q_max, k, t0, t1) for t0, t1 in _chunk_bounds(t, workers)]
-    results = _run_chunks("lu", payloads, workers)
-    return sum(r[0] for r in results), sum(r[1] for r in results)
+    low, high = zip(*_run_chunks(_chunk_lu, q_max, t, workers, k))
+    return sum(low), sum(high)
 
 
 def hall_shiu_identity(q_max: int) -> Tuple[int, int]:
@@ -376,10 +336,8 @@ def autocorr_record(q_max: int, h: int, t=Fraction(1), workers: int = 1) -> Stat
     )
 
 
-def moment_record(q_max: int, alpha, workers: int = 1) -> StatRecord:
-    alpha = Fraction(alpha)
+def _moment_row(q_max: int, alpha: Fraction, exact) -> StatRecord:
     n = totient_summatory(q_max)
-    exact = sum_index_power(q_max, alpha, workers=workers)
     if alpha == 1:
         prediction: Union[Fraction, float] = 2 * n * bcz.b_alpha(1).value
         bound = "Q*log(Q)^2"
@@ -389,14 +347,40 @@ def moment_record(q_max: int, alpha, workers: int = 1) -> StatRecord:
     return _make_record(q_max, "moment", f"alpha={alpha}", exact, prediction, bound)
 
 
+def moment_record(q_max: int, alpha, workers: int = 1) -> StatRecord:
+    alpha = Fraction(alpha)
+    return _moment_row(q_max, alpha, sum_index_power(q_max, alpha, workers=workers))
+
+
 def second_moment_record(q_max: int, workers: int = 1) -> StatRecord:
     """Exact sum of squared indices against its logarithmic leading term."""
-    if q_max < 2:
+    return moment_records(q_max, [2], workers=workers)[0]
+
+
+def moment_records(q_max: int, alphas, workers: int = 1) -> list[StatRecord]:
+    """One moment row per alpha, in order; alpha = 2 against the second-moment term.
+
+    Every alpha other than 1 is read off a single index histogram, so F_Q is
+    walked at most twice however many exponents are asked for.
+    """
+    alphas = [Fraction(a) for a in alphas]
+    if any(alpha <= 0 for alpha in alphas):
+        raise ValueError("alpha must be positive")
+    if q_max < 2 and 2 in alphas:
         raise ValueError("need Q >= 2")
-    exact = sum_index_power(q_max, 2, workers=workers)
-    return _make_record(
-        q_max, "moment", "alpha=2", exact, second_moment_prediction(q_max), "Q*log(Q)^2"
-    )
+    hist = index_histogram(q_max, workers=workers) if any(a != 1 for a in alphas) else {}
+    records = []
+    for alpha in alphas:
+        if alpha == 1:
+            records.append(_moment_row(q_max, alpha, sum_index(q_max, workers=workers)))
+        elif alpha == 2:
+            records.append(_make_record(
+                q_max, "moment", "alpha=2", _power_sum(hist, alpha),
+                second_moment_prediction(q_max), "Q*log(Q)^2",
+            ))
+        else:
+            records.append(_moment_row(q_max, alpha, _power_sum(hist, alpha)))
+    return records
 
 
 def lu_records(q_max: int, k: int, t=Fraction(1), workers: int = 1) -> Tuple[StatRecord, StatRecord]:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from farey_index.cli import main
-from farey_index import totient_summatory
+from farey_index import stats, totient_summatory
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +106,38 @@ def test_converge_s_h_with_interval(capsys):
 def test_converge_requires_ascending_orders(capsys):
     code, _, _ = run_cli(capsys, "converge", "S_h", "--q-list", "100,50")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("S_h", "--q-list", "50,60", "--h", "1,0"),
+        ("LU", "--q-list", "50", "--k", "2,0"),
+        ("moment", "--q-list", "50", "--alpha", "1,0"),
+        ("moment", "--q-list", "50", "--alpha", "1/2,5/2"),
+        ("S_h", "--q-list", "50", "--t", "0"),
+        ("LU", "--q-list", "50", "--t", "1/2,3/2"),
+        ("partial", "--q-list", "50", "--t", "3/2"),
+        ("partial", "--q-list", "50", "--t=-1/2"),
+        ("moment", "--q-list", "0,50"),
+        ("S_h", "--q", "-3"),
+    ],
+)
+def test_converge_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
+    def no_walk(*args):
+        raise AssertionError("walked before validating")
+
+    monkeypatch.setattr(stats, "_run_chunks", no_walk)
+    code, out, err = run_cli(capsys, "converge", *argv)
+    assert code == 2
+    assert out == ""
+    assert "converge:" in err
+
+
+def test_converge_partial_accepts_t_zero(capsys):
+    code, out, _ = run_cli(capsys, "converge", "partial", "--q-list", "20", "--t", "0")
+    assert code == 0
+    assert parse_csv(out)[1][3] == "0"
 
 
 def test_converge_json_payload(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from farey_index import (
     FareyWalker,
+    farey_rank,
     index_of,
     index_sequence,
     index_stream,
@@ -37,6 +38,20 @@ def test_totient_summatory_against_gcd_counting():
             if math.gcd(a, q) == 1
         )
         assert totient_summatory(q_max) == count
+
+
+def test_farey_rank_against_sorted_fractions():
+    cuts = {Fraction(a, b) for b in range(1, 13) for a in range(0, b + 1)}
+    for q_max in range(1, 31):
+        fr = brute_farey(q_max)
+        for t in cuts:
+            assert farey_rank(q_max, t) == sum(1 for f in fr if f <= t), (q_max, t)
+        assert farey_rank(q_max, 0) == 0
+        assert farey_rank(q_max, 1) == len(fr) == totient_summatory(q_max)
+    with pytest.raises(ValueError):
+        farey_rank(5, Fraction(3, 2))
+    with pytest.raises(ValueError):
+        farey_rank(0, Fraction(1, 2))
 
 
 def test_walker_start_examples():

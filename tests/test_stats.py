@@ -15,6 +15,7 @@ from farey_index import (
     lu_counts,
     lu_records,
     moment_record,
+    moment_records,
     partial_index_sum,
     partial_record,
     polygon_area,
@@ -25,6 +26,7 @@ from farey_index import (
     totient_summatory,
     visible_points_count,
 )
+from farey_index import stats
 from farey_index.stats import (
     euler_gamma,
     index_histogram,
@@ -163,6 +165,94 @@ def test_workers_reproduce_single_threaded_results():
         assert sum_index_power(400, F(1, 2), workers=workers) == sum_index_power(400, F(1, 2))
         assert lu_counts(400, 2, workers=workers) == lu_counts(400, 2)
         assert partial_index_sum(400, F(1, 2), workers=workers) == partial_index_sum(400, F(1, 2))
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3, 7))
+def test_every_statistic_is_chunk_count_invariant(workers, monkeypatch):
+    # only the chunking is under test, so every chunk runs in this process;
+    # Q = 1, 2 leave chunks with no element, and most cuts j*t/workers land
+    # exactly on an element of F_Q
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)
+    for q in (1, 2, 6, 12):
+        fr, dens, nus = brute_indices(q)
+        n = len(nus)
+        top = 2 * q + 1
+        assert sum_index(q, workers=workers) == sum(nus)
+        assert sum_index_power(q, 2, workers=workers) == sum(nu * nu for nu in nus)
+        assert sum_index_power(q, F(1, 2), workers=workers) == sum_index_power(q, F(1, 2))
+        assert autocorr_sum(q, 2, workers=workers) == sum(
+            nus[i] * nus[(i + 2) % n] for i in range(n)
+        )
+        for t in (F(1, 3), F(1, 2), F(2, 3), F(1)):
+            inside = [i for i in range(n) if fr[i] <= t]
+            assert partial_index_sum(q, t, workers=workers) == sum(nus[i] for i in inside)
+            hist = {}
+            for i in inside:
+                hist[nus[i]] = hist.get(nus[i], 0) + 1
+            assert index_histogram(q, t, workers=workers) == hist
+            assert autocorr_sum_interval(q, 1, t, workers=workers) == sum(
+                nus[i] * nus[(i + 1) % n] for i in inside
+            )
+            for k in (1, 2):
+                low = sum(1 for i in inside if nus[i] == k == top // dens[i] - 1)
+                high = sum(1 for i in inside if nus[i] == k == top // dens[i])
+                assert lu_counts(q, k, t, workers=workers) == (low, high)
+
+
+def test_pool_processes_capped_at_cpu_count(monkeypatch):
+    sizes, task_counts = [], []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            task_counts.append(len(tasks))
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(stats.multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 2)
+    assert lu_counts(60, 2, F(3, 4), workers=7) == lu_counts(60, 2, F(3, 4))
+    assert sizes == [2]  # two processes ...
+    assert task_counts == [7]  # ... still running seven chunks
+
+
+def test_pool_failure_warns_and_runs_serially(monkeypatch):
+    def no_pool(processes):
+        raise OSError("no process support")
+
+    monkeypatch.setattr(stats.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
+    with pytest.warns(RuntimeWarning, match="serially"):
+        result = autocorr_sum_interval(80, 2, F(5, 7), workers=3)
+    assert result == autocorr_sum_interval(80, 2, F(5, 7))
+
+
+def test_moment_records_walk_one_histogram(monkeypatch):
+    calls = []
+    walk = stats.index_histogram
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "index_histogram", counted)
+    records = moment_records(200, [1, 2, F(1, 2), F(3, 2)])
+    assert len(calls) == 1
+    assert records == [
+        moment_record(200, 1),
+        second_moment_record(200),
+        moment_record(200, F(1, 2)),
+        moment_record(200, F(3, 2)),
+    ]
+    with pytest.raises(ValueError):
+        moment_records(200, [F(1, 2), 0])
 
 
 def test_visible_points_counts():
