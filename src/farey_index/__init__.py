@@ -60,15 +60,21 @@ from .bcz import (
 from .stats import (
     StatRecord,
     autocorr_record,
+    autocorr_records,
     autocorr_sum,
+    autocorr_sums,
     autocorr_sum_interval,
     hall_shiu_identity,
+    lu_count_table,
     lu_counts,
     lu_records,
+    lu_table_records,
     moment_record,
     moment_records,
     partial_index_sum,
+    partial_index_sums,
     partial_record,
+    partial_records,
     second_moment_record,
     sum_index,
     sum_index_power,

@@ -148,7 +148,24 @@ def cmd_identities(args) -> int:
     return 0 if not failures else 1
 
 
+def _constants_usage_problem(args) -> Optional[str]:
+    """What is out of domain in the constants arguments, or None."""
+    if any(h < 1 for h in args.h or []):
+        return "every --h must be >= 1"
+    if any(not 0 < alpha < 2 for alpha in args.alpha or []):
+        return "every --alpha must lie in (0, 2)"
+    if args.k is not None and args.k < 1:
+        return "--k must be >= 1"
+    if not args.tol > 0:
+        return "--tol must be positive"
+    return None
+
+
 def cmd_constants(args) -> int:
+    problem = _constants_usage_problem(args)
+    if problem:
+        _progress(f"constants: {problem}")
+        return 2
     h_list = args.h or [1]
     alpha_list = args.alpha or []
     k_max = args.k or 1
@@ -242,6 +259,8 @@ def _converge_usage_problem(args, q_list: list[int]) -> Optional[str]:
         return "every --k must be >= 1"
     if any(not 0 < alpha <= 2 for alpha in args.alpha or []):
         return "every --alpha must lie in (0, 2]"
+    if args.stat == "moment" and 2 in (args.alpha or []) and q_list[0] < 2:
+        return "--alpha 2 needs every order in --q-list to be >= 2"
     if args.stat == "partial":
         if any(not 0 <= t <= 1 for t in args.t or []):
             return "every --t must lie in [0, 1]"
@@ -274,26 +293,17 @@ def cmd_converge(args) -> int:
         workers=workers,
     )
     records: list[StatRecord] = []
+    ts = args.t or [Fraction(1)]
     for q in q_list:
         _progress(f"converge {args.stat}: Q={q}")
         if args.stat == "S_h":
-            for h in args.h or [1]:
-                if args.t:
-                    for t in args.t:
-                        records.append(stats.autocorr_record(q, h, t, workers=workers))
-                else:
-                    records.append(stats.autocorr_record(q, h, workers=workers))
+            records.extend(stats.autocorr_records(q, args.h or [1], ts, workers=workers))
         elif args.stat == "moment":
             records.extend(stats.moment_records(q, args.alpha or [Fraction(1)], workers=workers))
         elif args.stat == "LU":
-            for k in args.k or [1]:
-                for t in args.t or [Fraction(1)]:
-                    rec_l, rec_u = stats.lu_records(q, k, t, workers=workers)
-                    records.append(rec_l)
-                    records.append(rec_u)
+            records.extend(stats.lu_table_records(q, args.k or [1], ts, workers=workers))
         elif args.stat == "partial":
-            for t in args.t or [Fraction(1)]:
-                records.append(stats.partial_record(q, t, workers=workers))
+            records.extend(stats.partial_records(q, ts, workers=workers))
         else:
             _progress(f"converge: unknown stat {args.stat}")
             return 2
@@ -342,10 +352,16 @@ def cmd_converge(args) -> int:
 def cmd_orbit(args) -> int:
     if args.x is not None and args.y is not None:
         start = (args.x, args.y)
-    elif args.q:
+        if not (0 < args.x <= 1 and 0 < args.y <= 1 and args.x + args.y > 1):
+            _progress("orbit: the start (x, y) must lie in the Farey triangle 0 < x, y <= 1 < x + y")
+            return 2
+    elif args.q is not None and args.q >= 1:
         start = (Fraction(1, args.q), Fraction(1))
     else:
-        _progress("orbit: give --q or both --x and --y")
+        _progress("orbit: give --q >= 1 or both --x and --y")
+        return 2
+    if args.r is not None and args.r < 0:
+        _progress("orbit: --r must be >= 0")
         return 2
     r = args.r if args.r is not None else (stats.totient_summatory(args.q) if args.q else 10)
     out = _Output(args, "orbit", {"x": str(start[0]), "y": str(start[1]), "r": r})
@@ -360,6 +376,12 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_visible(args) -> int:
+    if args.scale < 1:
+        _progress("visible: --scale must be >= 1")
+        return 2
+    if any(index is not None and index < 1 for index in (args.k, args.star)):
+        _progress("visible: --k and --star must be >= 1")
+        return 2
     if args.square:
         region = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
         label = "unit_square"

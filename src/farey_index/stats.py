@@ -5,13 +5,17 @@ recurrence (one division per element) and is exact: sums and counts are
 Python integers, comparisons against asymptotic predictions happen only at
 report time.
 
-A walk over (0, t] is split into `workers` subinterval chunks.  Each chunk
-starts from the denominators `seek` finds at its left end and runs for an
-exact step count, the difference of the Farey ranks of its two ends, so no
-kernel carries numerators or compares fractions; a serial run is the
-one-chunk case.  Partial results merge associatively, so results are
-identical for every chunk count, which is what makes the `workers` parameter
-a pure throughput knob."""
+Each statistic walks F_Q once per order Q, however many parameters are
+asked for: one walk over (0, max t] gives S_{h,t} for every lag h and cutoff
+t, (L, U) for every k and t, or the partial sums at every t, and the moment
+rows all come from one index histogram.  The walk is split into chunks at
+`workers` equal slices and at every requested t.  Each chunk starts from the
+denominators `seek` finds at its left end and runs for an exact step count,
+the difference of the Farey ranks of its two ends, so no kernel carries
+numerators or compares fractions; a serial run has one chunk per cutoff.
+The value at t is the sum of the chunk results up to t.  Partial results
+merge associatively, so results are identical for every chunk count, which
+is what makes the `workers` parameter a pure throughput knob."""
 
 from __future__ import annotations
 
@@ -23,6 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice
+from operator import mul
 from typing import Tuple, Union
 
 from . import bcz
@@ -67,6 +73,9 @@ def second_moment_prediction(q_max: int) -> float:
 # chunked walking machinery
 # ---------------------------------------------------------------------------
 
+_BLOCK = 4096  # most indices the autocorrelation kernel holds per list
+
+
 def _chunk_index_sum(task) -> int:
     """Exact sum of the indices of `steps` consecutive elements."""
     order, pd, cd, steps = task
@@ -93,95 +102,150 @@ def _chunk_histogram(task) -> dict:
     return {k: c for k, c in enumerate(counts) if c}
 
 
-def _chunk_autocorr(task) -> int:
-    """Sum of nu_i * nu_{i+h} over `steps` consecutive elements gamma_i."""
-    order, h, pd, cd, steps = task
-    # lookahead denominators, advanced h elements
-    lp, lc = pd, cd
-    for _ in range(h):
-        k = (order + lp) // lc
-        lp, lc = lc, k * lc - lp
-    total = 0
-    for _ in range(steps):
-        k = (order + pd) // cd
-        kh = (order + lp) // lc
-        total += k * kh
-        pd, cd = cd, k * cd - pd
-        lp, lc = lc, kh * lc - lp
-    return total
+def _index_blocks(order: int, pd: int, cd: int, steps: int):
+    """Indices of the `steps` elements after (pd, cd), in lists of at most _BLOCK."""
+    while steps > 0:
+        block = []
+        append = block.append
+        for _ in range(min(steps, _BLOCK)):
+            k = (order + pd) // cd
+            append(k)
+            pd, cd = cd, k * cd - pd
+        steps -= len(block)
+        yield block
 
 
-def _chunk_lu(task) -> Tuple[int, int]:
-    """Counts of the low/high threshold coincidences nu = floor((2Q+1)/q) - 1 (or -0)."""
-    order, k_target, pd, cd, steps = task
+def _chunk_autocorr(task) -> list:
+    """Sums of nu_i * nu_{i+h} over `steps` consecutive elements gamma_i, one per lag h.
+
+    The walk runs max(h) elements past the chunk, and each block of indices
+    is read together with the last max(h) indices before it, so every lag up
+    to _BLOCK takes its partner from the same walk.  A longer lag would make
+    that carry unbounded, so it walks a stream of its own and reads it
+    from h elements on.
+    """
+    order, lags, pd, cd, steps = task
+    near = [h for h in lags if h <= _BLOCK]
+    far = {
+        h: islice(chain.from_iterable(_index_blocks(order, pd, cd, h + steps)), h, None)
+        for h in lags
+        if h > _BLOCK
+    }
+    span = max(near, default=0)
+    sums = dict.fromkeys(lags, 0)
+    carry: list = []
+    first = 0  # chunk position of the block's first index
+    for block in _index_blocks(order, pd, cd, steps + span):
+        for h, partners in far.items():
+            sums[h] += sum(map(mul, block, partners))
+        window = carry + block
+        shift = len(carry) - first  # window position of a chunk position
+        for h in near:
+            # the pairs whose later index is in this block and earlier one in the chunk
+            lo = max(first, h) + shift
+            hi = min(first + len(block), steps + h) + shift
+            if lo < hi:
+                sums[h] += sum(map(mul, window[lo - h:hi - h], window[lo:hi]))
+        carry = window[len(window) - span:]
+        first += len(block)
+    return [sums[h] for h in lags]
+
+
+def _chunk_lu(task) -> list:
+    """Counts of the low/high threshold coincidences nu = floor((2Q+1)/q) - 1 (or -0).
+
+    Returns [L(k), U(k)] for each requested k in turn, from one walk.
+    """
+    order, ks, pd, cd, steps = task
     top = 2 * order + 1
-    low = 0
-    high = 0
+    low = dict.fromkeys(ks, 0)
+    high = dict.fromkeys(ks, 0)
     for _ in range(steps):
         k = (order + pd) // cd
-        if k == k_target:
+        if k in low:
             v = top // cd
             if k == v - 1:
-                low += 1
+                low[k] += 1
             elif k == v:
-                high += 1
+                high[k] += 1
         pd, cd = cd, k * cd - pd
-    return low, high
+    return [count for k in ks for count in (low[k], high[k])]
 
 
-def _run_chunks(kernel, q_max: int, t_end: Fraction, workers: int, *params) -> list:
-    """Results of `kernel` on `workers` equal slices (t0, t1] of (0, t_end], in order.
+def _run_chunks(kernel, q_max: int, ts, workers: int, *params) -> list:
+    """For each t in `ts`, the results of `kernel` on the chunks that tile (0, t], in order.
 
-    Each chunk starts from the denominators `seek` finds at t0 and runs for
-    the exact step count rank(t1) - rank(t0), so no kernel needs a fraction.
-    The pool never has more processes than the host has CPUs; the chunks,
-    and so every merged result, do not depend on it.
+    (0, max(ts)] is cut into `workers` equal slices and again at every t, so
+    one walk serves every cutoff.  Each chunk starts from the denominators
+    `seek` finds at its left end and runs for the exact step count
+    rank(t1) - rank(t0), so no kernel needs a fraction.  The pool never has
+    more processes than the host has CPUs; the chunks, and so every merged
+    result, do not depend on it.
     """
     w = max(1, int(workers))
-    cuts = [t_end * j / w for j in range(w + 1)]
+    t_end = max(ts)
+    cuts = sorted({t_end * j / w for j in range(w + 1)}.union(ts))
     ranks = farey_ranks(q_max, cuts)
     tasks = []
     for t0, r0, r1 in zip(cuts, ranks, ranks[1:]):
         start = seek(q_max, t0)
         tasks.append((q_max, *params, start.prev.denominator, start.curr.denominator, r1 - r0))
-    processes = min(w, os.cpu_count() or 1)
+    results = None
+    processes = min(w, os.cpu_count() or 1, len(tasks))
     if processes > 1:
         try:
             with multiprocessing.Pool(processes) as pool:
-                return pool.map(kernel, tasks)
+                results = pool.map(kernel, tasks)
         except OSError as exc:
             warnings.warn(
-                f"process pool unavailable ({exc}); running {w} chunks serially",
+                f"process pool unavailable ({exc}); running {len(tasks)} chunks serially",
                 RuntimeWarning,
                 stacklevel=3,
             )
-    return [kernel(task) for task in tasks]
+    if results is None:
+        results = [kernel(task) for task in tasks]
+    return [results[:cuts.index(t)] for t in ts]
+
+
+def _column_sums(parts: list) -> list:
+    """Elementwise sums of equal-length chunk results."""
+    return [sum(column) for column in zip(*parts)]
+
+
+def _cutoffs(ts, allow_zero: bool = False) -> list:
+    """The cutoffs as fractions, each checked to lie in (0, 1], or [0, 1] with allow_zero."""
+    ts = [Fraction(t) for t in ts]
+    if not ts:
+        raise ValueError("need at least one t")
+    if not all(0 < t <= 1 or (allow_zero and t == 0) for t in ts):
+        raise ValueError("t must lie in [0, 1]" if allow_zero else "t must lie in (0, 1]")
+    return ts
 
 
 # ---------------------------------------------------------------------------
 # whole-sequence statistics
 # ---------------------------------------------------------------------------
 
+def partial_index_sums(q_max: int, ts, workers: int = 1) -> list[int]:
+    """Exact sums of indices over gamma <= t, one per t in `ts`, from one walk."""
+    ts = _cutoffs(ts, allow_zero=True)
+    return [sum(parts) for parts in _run_chunks(_chunk_index_sum, q_max, ts, workers)]
+
+
 def sum_index(q_max: int, workers: int = 1) -> int:
     """Exact sum of all N(Q) indices; equals 3 N(Q) - 1 identically."""
-    return sum(_run_chunks(_chunk_index_sum, q_max, Fraction(1), workers))
+    return partial_index_sums(q_max, [1], workers)[0]
 
 
 def partial_index_sum(q_max: int, t, workers: int = 1) -> int:
     """Exact sum of indices over gamma <= t."""
-    t = Fraction(t)
-    if not (0 <= t <= 1):
-        raise ValueError("t must lie in [0, 1]")
-    return sum(_run_chunks(_chunk_index_sum, q_max, t, workers))
+    return partial_index_sums(q_max, [t], workers)[0]
 
 
 def index_histogram(q_max: int, t=Fraction(1), workers: int = 1) -> dict:
     """Exact counts {index value: occurrences} over gamma <= t."""
-    t = Fraction(t)
-    if not (0 < t <= 1):
-        raise ValueError("t must lie in (0, 1]")
     merged = Counter()
-    for part in _run_chunks(_chunk_histogram, q_max, t, workers):
+    for part in _run_chunks(_chunk_histogram, q_max, _cutoffs([t]), workers)[0]:
         merged.update(part)
     return dict(merged)
 
@@ -209,34 +273,48 @@ def sum_index_power(q_max: int, alpha, workers: int = 1) -> Union[int, float]:
     return _power_sum(index_histogram(q_max, workers=workers), alpha)
 
 
+def autocorr_sums(q_max: int, lags, ts=(1,), workers: int = 1) -> list[list[int]]:
+    """S_{h,t}(Q) for every lag h in `lags` (rows) and cutoff t in `ts` (columns).
+
+    S_{h,t} sums nu_i * nu_{i+h} over gamma_i <= t, with indices cyclic mod
+    N(Q), so t = 1 gives the full-period S_h(Q).  The index sequence has
+    period N(Q), so every lag is reduced mod N(Q) before the one walk.
+    """
+    if any(h < 1 for h in lags):
+        raise ValueError("h must be >= 1")
+    ts = _cutoffs(ts)
+    n = totient_summatory(q_max)
+    reduced = [h % n or n for h in lags]
+    distinct = tuple(sorted(set(reduced)))
+    at_t = [_column_sums(parts) for parts in _run_chunks(_chunk_autocorr, q_max, ts, workers, distinct)]
+    column = {h: i for i, h in enumerate(distinct)}
+    return [[sums[column[h]] for sums in at_t] for h in reduced]
+
+
 def autocorr_sum(q_max: int, h: int, workers: int = 1) -> int:
     """S_h(Q): sum of nu_i * nu_{i+h} over one period, indices cyclic mod N(Q)."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    n = totient_summatory(q_max)
-    h = h % n or n  # the index sequence has period N(Q)
-    return sum(_run_chunks(_chunk_autocorr, q_max, Fraction(1), workers, h))
+    return autocorr_sums(q_max, [h], [1], workers)[0][0]
 
 
 def autocorr_sum_interval(q_max: int, h: int, t, workers: int = 1) -> int:
     """S_{h,t}(Q): the autocorrelation sum restricted to gamma_i <= t."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    t = Fraction(t)
-    if not (0 < t <= 1):
-        raise ValueError("t must lie in (0, 1]")
-    return sum(_run_chunks(_chunk_autocorr, q_max, t, workers, h))
+    return autocorr_sums(q_max, [h], [t], workers)[0][0]
+
+
+def lu_count_table(q_max: int, ks, ts=(1,), workers: int = 1) -> list[list[Tuple[int, int]]]:
+    """(L, U) for every k in `ks` (rows) and cutoff t in `ts` (columns), from one walk."""
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
+    ts = _cutoffs(ts)
+    distinct = tuple(sorted(set(ks)))
+    at_t = [_column_sums(parts) for parts in _run_chunks(_chunk_lu, q_max, ts, workers, distinct)]
+    column = {k: 2 * i for i, k in enumerate(distinct)}
+    return [[(counts[column[k]], counts[column[k] + 1]) for counts in at_t] for k in ks]
 
 
 def lu_counts(q_max: int, k: int, t=Fraction(1), workers: int = 1) -> Tuple[int, int]:
     """(L, U): counts of gamma <= t with nu = k hitting floor((2Q+1)/q) - 1 resp. - 0."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    t = Fraction(t)
-    if not (0 < t <= 1):
-        raise ValueError("t must lie in (0, 1]")
-    low, high = zip(*_run_chunks(_chunk_lu, q_max, t, workers, k))
-    return sum(low), sum(high)
+    return lu_count_table(q_max, [k], [t], workers)[0][0]
 
 
 def hall_shiu_identity(q_max: int) -> Tuple[int, int]:
@@ -323,17 +401,25 @@ def _make_record(order, stat, parameter, exact, prediction, bound_form) -> StatR
     return StatRecord(order, stat, parameter, exact, prediction, ratio, bound_form)
 
 
-def autocorr_record(q_max: int, h: int, t=Fraction(1), workers: int = 1) -> StatRecord:
-    t = Fraction(t)
+def autocorr_records(q_max: int, lags, ts=(1,), workers: int = 1) -> list[StatRecord]:
+    """One S_h row per (h, t), h outer and t inner, all from one walk of F_Q."""
+    ts = [Fraction(t) for t in ts]
     n = totient_summatory(q_max)
-    a_h = bcz.autocorrelation_constant(h)
-    if t == 1:
-        exact = autocorr_sum(q_max, h, workers=workers)
-        return _make_record(q_max, "S_h", f"h={h}", exact, a_h * n, "Q*log(Q)^2")
-    exact = autocorr_sum_interval(q_max, h, t, workers=workers)
-    return _make_record(
-        q_max, "S_h", f"h={h};t={t}", exact, t * a_h * n, "Q^(3/2+eps)"
-    )
+    records = []
+    for h, row in zip(lags, autocorr_sums(q_max, lags, ts, workers)):
+        a_h = bcz.autocorrelation_constant(h)
+        for t, exact in zip(ts, row):
+            if t == 1:
+                records.append(_make_record(q_max, "S_h", f"h={h}", exact, a_h * n, "Q*log(Q)^2"))
+            else:
+                records.append(_make_record(
+                    q_max, "S_h", f"h={h};t={t}", exact, t * a_h * n, "Q^(3/2+eps)"
+                ))
+    return records
+
+
+def autocorr_record(q_max: int, h: int, t=Fraction(1), workers: int = 1) -> StatRecord:
+    return autocorr_records(q_max, [h], [t], workers)[0]
 
 
 def _moment_row(q_max: int, alpha: Fraction, exact) -> StatRecord:
@@ -360,45 +446,62 @@ def second_moment_record(q_max: int, workers: int = 1) -> StatRecord:
 def moment_records(q_max: int, alphas, workers: int = 1) -> list[StatRecord]:
     """One moment row per alpha, in order; alpha = 2 against the second-moment term.
 
-    Every alpha other than 1 is read off a single index histogram, so F_Q is
-    walked at most twice however many exponents are asked for.
+    F_Q is walked once: every alpha, alpha = 1 included, is read off one
+    index histogram, and alpha = 1 alone takes the cheaper index-sum walk.
     """
     alphas = [Fraction(a) for a in alphas]
     if any(alpha <= 0 for alpha in alphas):
         raise ValueError("alpha must be positive")
     if q_max < 2 and 2 in alphas:
         raise ValueError("need Q >= 2")
-    hist = index_histogram(q_max, workers=workers) if any(a != 1 for a in alphas) else {}
+    if any(alpha != 1 for alpha in alphas):
+        hist = index_histogram(q_max, workers=workers)
+        exact = {alpha: _power_sum(hist, alpha) for alpha in alphas}
+    else:
+        exact = {alpha: sum_index(q_max, workers=workers) for alpha in set(alphas)}
     records = []
     for alpha in alphas:
-        if alpha == 1:
-            records.append(_moment_row(q_max, alpha, sum_index(q_max, workers=workers)))
-        elif alpha == 2:
+        if alpha == 2:
             records.append(_make_record(
-                q_max, "moment", "alpha=2", _power_sum(hist, alpha),
+                q_max, "moment", "alpha=2", exact[alpha],
                 second_moment_prediction(q_max), "Q*log(Q)^2",
             ))
         else:
-            records.append(_moment_row(q_max, alpha, _power_sum(hist, alpha)))
+            records.append(_moment_row(q_max, alpha, exact[alpha]))
+    return records
+
+
+def lu_table_records(q_max: int, ks, ts=(1,), workers: int = 1) -> list[StatRecord]:
+    """An L row and a U row per (k, t), k outer and t inner, all from one walk of F_Q."""
+    ts = [Fraction(t) for t in ts]
+    n = totient_summatory(q_max)
+    records = []
+    for k, row in zip(ks, lu_count_table(q_max, ks, ts, workers)):
+        for t, (low, high) in zip(ts, row):
+            suffix = f"k={k}" if t == 1 else f"k={k};t={t}"
+            records.append(_make_record(
+                q_max, "L", suffix, low, t * bcz.lower_frequency(k) * n, "k + Q*log(Q)/k"
+            ))
+            records.append(_make_record(
+                q_max, "U", suffix, high, t * bcz.upper_frequency(k) * n, "k + Q*log(Q)/k"
+            ))
     return records
 
 
 def lu_records(q_max: int, k: int, t=Fraction(1), workers: int = 1) -> Tuple[StatRecord, StatRecord]:
-    t = Fraction(t)
-    n = totient_summatory(q_max)
-    low, high = lu_counts(q_max, k, t, workers=workers)
-    suffix = f"k={k}" if t == 1 else f"k={k};t={t}"
-    rec_l = _make_record(
-        q_max, "L", suffix, low, t * bcz.lower_frequency(k) * n, "k + Q*log(Q)/k"
-    )
-    rec_u = _make_record(
-        q_max, "U", suffix, high, t * bcz.upper_frequency(k) * n, "k + Q*log(Q)/k"
-    )
+    rec_l, rec_u = lu_table_records(q_max, [k], [t], workers)
     return rec_l, rec_u
 
 
-def partial_record(q_max: int, t, workers: int = 1) -> StatRecord:
-    t = Fraction(t)
+def partial_records(q_max: int, ts, workers: int = 1) -> list[StatRecord]:
+    """One partial-sum row per t, all from one walk of F_Q."""
+    ts = [Fraction(t) for t in ts]
     n = totient_summatory(q_max)
-    exact = partial_index_sum(q_max, t, workers=workers)
-    return _make_record(q_max, "partial", f"t={t}", exact, 3 * n * t, "Q^(3/2+eps)")
+    return [
+        _make_record(q_max, "partial", f"t={t}", exact, 3 * n * t, "Q^(3/2+eps)")
+        for t, exact in zip(ts, partial_index_sums(q_max, ts, workers))
+    ]
+
+
+def partial_record(q_max: int, t, workers: int = 1) -> StatRecord:
+    return partial_records(q_max, [t], workers)[0]

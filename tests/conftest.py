@@ -37,6 +37,39 @@ def brute_indices(q_max):
     return fr, dens, out
 
 
+def brute_autocorr(q_max, lags, ts):
+    """S_{h,t}: sum of nu_i * nu_{i+h mod N} over gamma_i <= t, rows per lag, columns per t."""
+    fr, _, nus = brute_indices(q_max)
+    n = len(nus)
+    return [
+        [sum(nus[i] * nus[(i + h) % n] for i in range(n) if fr[i] <= t) for t in ts]
+        for h in lags
+    ]
+
+
+def brute_lu(q_max, ks, ts):
+    """(L, U) per k (rows) and t (columns): nu = k = floor((2Q+1)/q) - 1 resp. - 0, gamma <= t."""
+    fr, dens, nus = brute_indices(q_max)
+    top = 2 * q_max + 1
+    rows = []
+    for k in ks:
+        row = []
+        for t in ts:
+            inside = [i for i in range(len(nus)) if fr[i] <= t and nus[i] == k]
+            row.append((
+                sum(1 for i in inside if k == top // dens[i] - 1),
+                sum(1 for i in inside if k == top // dens[i]),
+            ))
+        rows.append(row)
+    return rows
+
+
+def brute_partial(q_max, ts):
+    """Sums of the indices over gamma <= t, one per t."""
+    fr, _, nus = brute_indices(q_max)
+    return [sum(nu for f, nu in zip(fr, nus) if f <= t) for t in ts]
+
+
 def cross2(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 

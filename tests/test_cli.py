@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from farey_index.cli import main
-from farey_index import stats, totient_summatory
+from farey_index import bcz, stats, totient_summatory
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +121,7 @@ def test_converge_requires_ascending_orders(capsys):
         ("partial", "--q-list", "50", "--t=-1/2"),
         ("moment", "--q-list", "0,50"),
         ("S_h", "--q", "-3"),
+        ("moment", "--q-list", "1", "--alpha", "2"),
     ],
 )
 def test_converge_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
@@ -132,6 +133,58 @@ def test_converge_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert "converge:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("visible", "--scale", "0"),
+        ("visible", "--scale", "5", "--k", "0"),
+        ("constants", "--alpha", "2"),
+        ("constants", "--alpha", "0"),
+        ("constants", "--h", "0"),
+        ("constants", "--alpha", "1/2", "--tol", "0"),
+        ("orbit", "--x", "1/4", "--y", "1/4"),
+        ("orbit", "--q", "5", "--r", "-1"),
+    ],
+)
+def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before validating")
+
+    for module, name in ((stats, "visible_points_count"), (bcz, "autocorrelation_constant"),
+                         (bcz, "b_alpha"), (bcz, "orbit")):
+        monkeypatch.setattr(module, name, no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{argv[0]}:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, kernel",
+    [
+        (("S_h", "--h", "3,1,2", "--t", "1/2,1,1/3"), "_chunk_autocorr"),
+        (("LU", "--k", "2,1,4", "--t", "2/3,1/4"), "_chunk_lu"),
+        (("partial", "--t", "1/2,0,1"), "_chunk_index_sum"),
+        (("moment", "--alpha", "1,2,1/2"), "_chunk_histogram"),
+        (("moment", "--alpha", "1"), "_chunk_index_sum"),
+    ],
+)
+def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
+    walks = []
+    run_chunks = stats._run_chunks
+
+    def counted(*args):
+        walks.append((args[0].__name__, args[1]))
+        return run_chunks(*args)
+
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(stats, "_run_chunks", counted)
+    code, out, _ = run_cli(capsys, "converge", argv[0], "--q-list", "30,40", *argv[1:],
+                           "--workers", "3")
+    assert code == 0
+    assert walks == [(kernel, 30), (kernel, 40)]
 
 
 def test_converge_partial_accepts_t_zero(capsys):

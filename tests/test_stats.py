@@ -9,15 +9,21 @@ from farey_index import (
     ConvexPolygon,
     FAREY_TRIANGLE,
     autocorr_record,
+    autocorr_records,
     autocorr_sum,
     autocorr_sum_interval,
+    autocorr_sums,
     hall_shiu_identity,
+    lu_count_table,
     lu_counts,
     lu_records,
+    lu_table_records,
     moment_record,
     moment_records,
     partial_index_sum,
+    partial_index_sums,
     partial_record,
+    partial_records,
     polygon_area,
     region_polygon,
     second_moment_record,
@@ -34,7 +40,7 @@ from farey_index.stats import (
     zeta_prime_over_zeta_two,
 )
 
-from conftest import brute_farey, brute_indices
+from conftest import brute_autocorr, brute_farey, brute_indices, brute_lu, brute_partial
 
 F = Fraction
 
@@ -199,6 +205,53 @@ def test_every_statistic_is_chunk_count_invariant(workers, monkeypatch):
                 assert lu_counts(q, k, t, workers=workers) == (low, high)
 
 
+@pytest.mark.parametrize("workers", (1, 2, 3, 7))
+def test_multi_parameter_walks_match_oracle(workers, monkeypatch):
+    # repeated and unsorted lags, k values and cutoffs; lags at and past the
+    # period N(Q); Q = 1, 2 leave chunks with no element
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)
+    ts = [F(2, 3), F(1, 3), F(1), F(1, 3), F(1, 2)]
+    for q in (1, 2, 6, 12):
+        n = totient_summatory(q)
+        lags = [3, 1, n, 2 * n + 1, 1]
+        want = brute_autocorr(q, lags, ts)
+        assert autocorr_sums(q, lags, ts, workers) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(stats, "_BLOCK", 2)  # block ends and lags past a block
+            assert autocorr_sums(q, lags, ts, workers) == want
+        ks = [2, 1, 4, 2]
+        assert lu_count_table(q, ks, ts, workers) == brute_lu(q, ks, ts)
+        assert partial_index_sums(q, ts + [F(0)], workers) == brute_partial(q, ts + [F(0)])
+
+
+def test_lags_reduced_mod_period_at_every_cutoff(monkeypatch):
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)
+    # 10**12 + 3 steps of lookahead would never finish: the lag is reduced first
+    n = totient_summatory(5)
+    for h in (n + 2, 10**12 + 3):
+        for t in (F(1, 4), F(3, 5), F(1)):
+            assert autocorr_sum_interval(5, h, t) == brute_autocorr(5, [h], [t])[0][0]
+    # Q = 120 has N = 4386 elements: lags past the kernel's block take their
+    # partner from a stream of their own
+    n = totient_summatory(120)
+    lags = [n - 1, stats._BLOCK + 1, 2, stats._BLOCK, n + 5]
+    ts = [F(2, 7), F(1)]
+    want = brute_autocorr(120, lags, ts)
+    for workers in (1, 3):
+        assert autocorr_sums(120, lags, ts, workers) == want
+
+
+def test_multi_parameter_records_match_single_ones():
+    ts = [F(1, 2), F(1), F(1, 3)]
+    assert autocorr_records(40, [2, 1], ts) == [
+        autocorr_record(40, h, t) for h in (2, 1) for t in ts
+    ]
+    assert lu_table_records(40, [3, 1], ts) == [
+        rec for k in (3, 1) for t in ts for rec in lu_records(40, k, t)
+    ]
+    assert partial_records(40, ts) == [partial_record(40, t) for t in ts]
+
+
 def test_pool_processes_capped_at_cpu_count(monkeypatch):
     sizes, task_counts = [], []
 
@@ -236,15 +289,15 @@ def test_pool_failure_warns_and_runs_serially(monkeypatch):
 
 def test_moment_records_walk_one_histogram(monkeypatch):
     calls = []
-    walk = stats.index_histogram
+    walk = stats._run_chunks
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(args[0])
         return walk(*args, **kwargs)
 
-    monkeypatch.setattr(stats, "index_histogram", counted)
+    monkeypatch.setattr(stats, "_run_chunks", counted)
     records = moment_records(200, [1, 2, F(1, 2), F(3, 2)])
-    assert len(calls) == 1
+    assert calls == [stats._chunk_histogram]  # alpha = 1 is read off it too
     assert records == [
         moment_record(200, 1),
         second_moment_record(200),
