@@ -3,7 +3,7 @@
 The package has four library layers and a CLI:
 
     geometry   exact rational points, convex polygons, clipping, unimodular maps
-    farey      Farey-sequence walking, seeking, and the index of a fraction
+    farey      the Farey index stream, seeking, ranks and the totient sum
     bcz        the area-preserving transfer map on the Farey triangle, its
                region decomposition, push-forwards and exact constants
     stats      exact index statistics at scale, paired with their predictions
@@ -26,17 +26,11 @@ from .geometry import (
     polygon_area,
 )
 from .farey import (
-    FareyWalker,
     farey_rank,
-    index_of,
     index_sequence,
-    index_stream,
     interval_walk,
-    neighbor_numerators,
     seek,
     totient_summatory,
-    walker_start,
-    walker_step,
 )
 from .bcz import (
     FAREY_TRIANGLE,
@@ -59,7 +53,6 @@ from .bcz import (
 )
 from .stats import (
     StatRecord,
-    autocorr_record,
     autocorr_records,
     autocorr_sum,
     autocorr_sums,
@@ -67,15 +60,11 @@ from .stats import (
     hall_shiu_identity,
     lu_count_table,
     lu_counts,
-    lu_records,
     lu_table_records,
-    moment_record,
     moment_records,
     partial_index_sum,
     partial_index_sums,
-    partial_record,
     partial_records,
-    second_moment_record,
     sum_index,
     sum_index_power,
     visible_points_count,

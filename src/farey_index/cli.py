@@ -59,11 +59,20 @@ def _parse_fraction_list(text: str) -> list[Fraction]:
     return [_parse_fraction(part) for part in text.split(",") if part]
 
 
-def _default_workers() -> int:
+def _positive_int(text: str) -> int:
     try:
-        return max(1, int(os.environ.get("FAREY_INDEX_WORKERS", "1")))
+        value = int(text)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
+# The largest lag whose A(h) has been seen to finish (247 s on a 2-core host,
+# Python 3.11); its cost grows steeply with h, so a larger --h is refused
+# before any work.
+MAX_LAG = 24
 
 
 @dataclass
@@ -150,8 +159,8 @@ def cmd_identities(args) -> int:
 
 def _constants_usage_problem(args) -> Optional[str]:
     """What is out of domain in the constants arguments, or None."""
-    if any(h < 1 for h in args.h or []):
-        return "every --h must be >= 1"
+    if any(not 1 <= h <= MAX_LAG for h in args.h or []):
+        return f"every --h must lie in [1, {MAX_LAG}]"
     if any(not 0 < alpha < 2 for alpha in args.alpha or []):
         return "every --alpha must lie in (0, 2)"
     if args.k is not None and args.k < 1:
@@ -253,8 +262,8 @@ def _converge_usage_problem(args, q_list: list[int]) -> Optional[str]:
     """What is out of domain in the converge arguments, or None."""
     if q_list[0] < 1:
         return "every order in --q-list must be >= 1"
-    if any(h < 1 for h in args.h or []):
-        return "every --h must be >= 1"
+    if any(not 1 <= h <= MAX_LAG for h in args.h or []):
+        return f"every --h must lie in [1, {MAX_LAG}]"
     if any(k < 1 for k in args.k or []):
         return "every --k must be >= 1"
     if any(not 0 < alpha <= 2 for alpha in args.alpha or []):
@@ -424,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--workers",
-            type=int,
-            default=_default_workers(),
+            type=_positive_int,
+            default=os.environ.get("FAREY_INDEX_WORKERS", "1"),
             help="subinterval chunk count (default $FAREY_INDEX_WORKERS or 1)",
         )
 

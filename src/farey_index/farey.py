@@ -1,4 +1,4 @@
-"""Farey sequences of order Q: streaming generation, seeking, and the index.
+"""Farey sequences of order Q: the denominator stream, seeking, and ranks.
 
 The Farey sequence F_Q is the ascending list of reduced fractions in (0, 1]
 with denominator at most Q, extended periodically by gamma_{i+N} = gamma_i + 1
@@ -15,17 +15,20 @@ The element before gamma_1 = 1/Q is gamma_0 = 0/1, so q_0 = 1; this is forced
 by the periodic extension and is validated by the exact identity
 sum(nu) = 3 N(Q) - 1.
 
-Python integers never overflow, so arbitrarily large Q is safe; all statistics
-below depend only on denominators, and the denominator-only generators are the
-fast path for large enumerations.
+The index depends on denominators alone, so the one stream of indices,
+`index_blocks`, carries no numerators; `seek` gives the consecutive pair
+(as plain integers) to start it from at any t, and `farey_ranks` the number
+of steps to any other t.  `interval_walk` is the one walk that also carries
+numerators.  Python integers never overflow, so arbitrarily large Q is safe.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Tuple
+
+_BLOCK = 4096  # most indices one list of `index_blocks` holds
 
 
 def totient_summatory(q_max: int) -> int:
@@ -40,69 +43,8 @@ def totient_summatory(q_max: int) -> int:
     return sum(phi[1:])
 
 
-@dataclass(frozen=True)
-class FareyWalker:
-    """Two consecutive elements of the extended Farey sequence of order Q."""
-
-    order: int
-    prev: Fraction
-    curr: Fraction
-
-    def __post_init__(self):
-        q = self.order
-        pd = self.prev.denominator
-        cd = self.curr.denominator
-        if q < 1:
-            raise ValueError("order must be >= 1")
-        if not (1 <= pd <= q and 1 <= cd <= q):
-            raise ValueError("denominators must lie in [1, Q]")
-        if pd + cd <= q:
-            raise ValueError("consecutive denominators must satisfy q + q' > Q")
-        if self.curr.numerator * pd - self.prev.numerator * cd != 1:
-            raise ValueError("pair is not unimodular")
-
-
-def walker_start(order: int) -> FareyWalker:
-    """Walker positioned at (0/1, 1/Q), i.e. just before the first element."""
-    return FareyWalker(order, Fraction(0), Fraction(1, order))
-
-
-def walker_step(w: FareyWalker) -> FareyWalker:
-    """Advance one element: (prev, curr) -> (curr, next)."""
-    k = (w.order + w.prev.denominator) // w.curr.denominator
-    nxt = Fraction(
-        k * w.curr.numerator - w.prev.numerator,
-        k * w.curr.denominator - w.prev.denominator,
-    )
-    return FareyWalker(w.order, w.curr, nxt)
-
-
-def index_of(w: FareyWalker) -> int:
-    """Index of the walker's current element: floor((Q + q_prev)/q_curr) >= 1."""
-    return (w.order + w.prev.denominator) // w.curr.denominator
-
-
-def neighbor_numerators(q: int, q2: int, order: int) -> Tuple[int, int]:
-    """Numerators (a, a2) of the consecutive pair a/q < a2/q2 in F_Q.
-
-    Solves a2*q - a*q2 = 1 with a2 in {1, ..., q2}; then a is in {1, ..., q-1}
-    except for the boundary pair q = 1 (the pair 0/1 < 1/q2, giving a = 0).
-    """
-    if not (1 <= q <= order and 1 <= q2 <= order):
-        raise ValueError("denominators must lie in [1, Q]")
-    if q + q2 <= order:
-        raise ValueError("not a consecutive pair: q + q2 must exceed Q")
-    if math.gcd(q, q2) != 1:
-        raise ValueError("denominators must be coprime")
-    a2 = pow(q, -1, q2)
-    if a2 == 0:  # modulus 1
-        a2 = q2
-    a = (a2 * q - 1) // q2
-    return a, a2
-
-
-def seek(order: int, t) -> FareyWalker:
-    """Walker positioned around t: prev <= t < curr in the extended sequence.
+def seek(order: int, t) -> Tuple[int, int, int, int]:
+    """The consecutive pair a/b <= t < a2/q2 of the extended sequence, as (a, b, a2, q2).
 
     The left neighbor is found by a bounded Stern-Brocot descent with batched
     mediant steps (O(log Q) iterations), the right neighbor by the modular
@@ -139,7 +81,7 @@ def seek(order: int, t) -> FareyWalker:
     residue = (-inv) % b
     q2 = order - ((order - residue) % b)
     a2 = (1 + a * q2) // b
-    return FareyWalker(order, Fraction(a, b), Fraction(a2, q2))
+    return a, b, a2, q2
 
 
 def _moebius(n: int) -> list[int]:
@@ -188,28 +130,22 @@ def farey_rank(order: int, t) -> int:
     return farey_ranks(order, (t,))[0]
 
 
-def index_stream(order: int) -> Iterator[int]:
-    """Indices nu(gamma_1), nu(gamma_2), ... as an infinite generator.
-
-    Denominator-only fast path; the stream is periodic with period N(Q).
-    """
-    qp, qc = 1, order
-    while True:
-        k = (order + qp) // qc
-        yield k
-        qp, qc = qc, k * qc - qp
+def index_blocks(order: int, pd: int, cd: int, steps: int) -> Iterator[list[int]]:
+    """Indices of the `steps` elements after denominators (pd, cd), in lists of <= _BLOCK."""
+    while steps > 0:
+        block = []
+        append = block.append
+        for _ in range(min(steps, _BLOCK)):
+            k = (order + pd) // cd
+            append(k)
+            pd, cd = cd, k * cd - pd
+        steps -= len(block)
+        yield block
 
 
 def index_sequence(order: int) -> list[int]:
     """The indices of all N(Q) elements of F_Q, in order."""
-    n = totient_summatory(order)
-    out = []
-    qp, qc = 1, order
-    for _ in range(n):
-        k = (order + qp) // qc
-        out.append(k)
-        qp, qc = qc, k * qc - qp
-    return out
+    return list(chain.from_iterable(index_blocks(order, 1, order, totient_summatory(order))))
 
 
 def interval_walk(order: int, t0, t1) -> Iterator[Tuple[int, int, int]]:
@@ -218,9 +154,7 @@ def interval_walk(order: int, t0, t1) -> Iterator[Tuple[int, int, int]]:
     t1 = Fraction(t1)
     if not (0 <= t0 <= t1 <= 1):
         raise ValueError("need 0 <= t0 <= t1 <= 1")
-    w = seek(order, t0)
-    pn, pd = w.prev.numerator, w.prev.denominator
-    cn, cd = w.curr.numerator, w.curr.denominator
+    pn, pd, cn, cd = seek(order, t0)
     n1, d1 = t1.numerator, t1.denominator
     while cn * d1 <= n1 * cd:
         k = (order + pd) // cd

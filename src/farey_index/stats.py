@@ -3,7 +3,9 @@
 Every statistic walks the sequence with the denominator-only integer
 recurrence (one division per element) and is exact: sums and counts are
 Python integers, comparisons against asymptotic predictions happen only at
-report time.
+report time.  The index-sum and autocorrelation kernels read the stream
+`farey.index_blocks`; the histogram, threshold-count and Hall-Shiu loops
+write the recurrence inline, which is faster for them than reading blocks.
 
 Each statistic walks F_Q once per order Q, however many parameters are
 asked for: one walk over (0, max t] gives S_{h,t} for every lag h and cutoff
@@ -31,8 +33,8 @@ from itertools import chain, islice
 from operator import mul
 from typing import Tuple, Union
 
-from . import bcz
-from .farey import farey_ranks, seek, totient_summatory
+from . import bcz, farey
+from .farey import farey_ranks, index_blocks, seek, totient_summatory
 from .geometry import ConvexPolygon
 
 Number = Union[int, float, Fraction]
@@ -73,18 +75,9 @@ def second_moment_prediction(q_max: int) -> float:
 # chunked walking machinery
 # ---------------------------------------------------------------------------
 
-_BLOCK = 4096  # most indices the autocorrelation kernel holds per list
-
-
 def _chunk_index_sum(task) -> int:
     """Exact sum of the indices of `steps` consecutive elements."""
-    order, pd, cd, steps = task
-    total = 0
-    for _ in range(steps):
-        k = (order + pd) // cd
-        total += k
-        pd, cd = cd, k * cd - pd
-    return total
+    return sum(map(sum, index_blocks(*task)))
 
 
 def _chunk_histogram(task) -> dict:
@@ -102,40 +95,27 @@ def _chunk_histogram(task) -> dict:
     return {k: c for k, c in enumerate(counts) if c}
 
 
-def _index_blocks(order: int, pd: int, cd: int, steps: int):
-    """Indices of the `steps` elements after (pd, cd), in lists of at most _BLOCK."""
-    while steps > 0:
-        block = []
-        append = block.append
-        for _ in range(min(steps, _BLOCK)):
-            k = (order + pd) // cd
-            append(k)
-            pd, cd = cd, k * cd - pd
-        steps -= len(block)
-        yield block
-
-
 def _chunk_autocorr(task) -> list:
     """Sums of nu_i * nu_{i+h} over `steps` consecutive elements gamma_i, one per lag h.
 
     The walk runs max(h) elements past the chunk, and each block of indices
     is read together with the last max(h) indices before it, so every lag up
-    to _BLOCK takes its partner from the same walk.  A longer lag would make
-    that carry unbounded, so it walks a stream of its own and reads it
-    from h elements on.
+    to the block size takes its partner from the same walk.  A longer lag
+    would make that carry unbounded, so it walks a stream of its own and
+    reads it from h elements on.
     """
     order, lags, pd, cd, steps = task
-    near = [h for h in lags if h <= _BLOCK]
+    near = [h for h in lags if h <= farey._BLOCK]
     far = {
-        h: islice(chain.from_iterable(_index_blocks(order, pd, cd, h + steps)), h, None)
+        h: islice(chain.from_iterable(index_blocks(order, pd, cd, h + steps)), h, None)
         for h in lags
-        if h > _BLOCK
+        if h > farey._BLOCK
     }
     span = max(near, default=0)
     sums = dict.fromkeys(lags, 0)
     carry: list = []
     first = 0  # chunk position of the block's first index
-    for block in _index_blocks(order, pd, cd, steps + span):
+    for block in index_blocks(order, pd, cd, steps + span):
         for h, partners in far.items():
             sums[h] += sum(map(mul, block, partners))
         window = carry + block
@@ -188,8 +168,8 @@ def _run_chunks(kernel, q_max: int, ts, workers: int, *params) -> list:
     ranks = farey_ranks(q_max, cuts)
     tasks = []
     for t0, r0, r1 in zip(cuts, ranks, ranks[1:]):
-        start = seek(q_max, t0)
-        tasks.append((q_max, *params, start.prev.denominator, start.curr.denominator, r1 - r0))
+        _, pd, _, cd = seek(q_max, t0)
+        tasks.append((q_max, *params, pd, cd, r1 - r0))
     results = None
     processes = min(w, os.cpu_count() or 1, len(tasks))
     if processes > 1:
@@ -418,31 +398,6 @@ def autocorr_records(q_max: int, lags, ts=(1,), workers: int = 1) -> list[StatRe
     return records
 
 
-def autocorr_record(q_max: int, h: int, t=Fraction(1), workers: int = 1) -> StatRecord:
-    return autocorr_records(q_max, [h], [t], workers)[0]
-
-
-def _moment_row(q_max: int, alpha: Fraction, exact) -> StatRecord:
-    n = totient_summatory(q_max)
-    if alpha == 1:
-        prediction: Union[Fraction, float] = 2 * n * bcz.b_alpha(1).value
-        bound = "Q*log(Q)^2"
-    else:
-        prediction = 2 * n * bcz.b_alpha(alpha).value
-        bound = "Q*log(Q)" if alpha < 1 else "Q^alpha*log(Q)"
-    return _make_record(q_max, "moment", f"alpha={alpha}", exact, prediction, bound)
-
-
-def moment_record(q_max: int, alpha, workers: int = 1) -> StatRecord:
-    alpha = Fraction(alpha)
-    return _moment_row(q_max, alpha, sum_index_power(q_max, alpha, workers=workers))
-
-
-def second_moment_record(q_max: int, workers: int = 1) -> StatRecord:
-    """Exact sum of squared indices against its logarithmic leading term."""
-    return moment_records(q_max, [2], workers=workers)[0]
-
-
 def moment_records(q_max: int, alphas, workers: int = 1) -> list[StatRecord]:
     """One moment row per alpha, in order; alpha = 2 against the second-moment term.
 
@@ -459,15 +414,17 @@ def moment_records(q_max: int, alphas, workers: int = 1) -> list[StatRecord]:
         exact = {alpha: _power_sum(hist, alpha) for alpha in alphas}
     else:
         exact = {alpha: sum_index(q_max, workers=workers) for alpha in set(alphas)}
+    n = totient_summatory(q_max)
     records = []
     for alpha in alphas:
         if alpha == 2:
-            records.append(_make_record(
-                q_max, "moment", "alpha=2", exact[alpha],
-                second_moment_prediction(q_max), "Q*log(Q)^2",
-            ))
+            prediction, bound = second_moment_prediction(q_max), "Q*log(Q)^2"
         else:
-            records.append(_moment_row(q_max, alpha, exact[alpha]))
+            prediction = 2 * n * bcz.b_alpha(alpha).value
+            bound = "Q*log(Q)^2" if alpha == 1 else "Q*log(Q)" if alpha < 1 else "Q^alpha*log(Q)"
+        records.append(
+            _make_record(q_max, "moment", f"alpha={alpha}", exact[alpha], prediction, bound)
+        )
     return records
 
 
@@ -488,11 +445,6 @@ def lu_table_records(q_max: int, ks, ts=(1,), workers: int = 1) -> list[StatReco
     return records
 
 
-def lu_records(q_max: int, k: int, t=Fraction(1), workers: int = 1) -> Tuple[StatRecord, StatRecord]:
-    rec_l, rec_u = lu_table_records(q_max, [k], [t], workers)
-    return rec_l, rec_u
-
-
 def partial_records(q_max: int, ts, workers: int = 1) -> list[StatRecord]:
     """One partial-sum row per t, all from one walk of F_Q."""
     ts = [Fraction(t) for t in ts]
@@ -501,7 +453,3 @@ def partial_records(q_max: int, ts, workers: int = 1) -> list[StatRecord]:
         _make_record(q_max, "partial", f"t={t}", exact, 3 * n * t, "Q^(3/2+eps)")
         for t, exact in zip(ts, partial_index_sums(q_max, ts, workers))
     ]
-
-
-def partial_record(q_max: int, t, workers: int = 1) -> StatRecord:
-    return partial_records(q_max, [t], workers)[0]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from farey_index.cli import main
+from farey_index.cli import MAX_LAG, main
 from farey_index import bcz, stats, totient_summatory
 
 
@@ -122,6 +122,7 @@ def test_converge_requires_ascending_orders(capsys):
         ("moment", "--q-list", "0,50"),
         ("S_h", "--q", "-3"),
         ("moment", "--q-list", "1", "--alpha", "2"),
+        ("S_h", "--q", "5", "--h", f"1,{MAX_LAG + 1}"),
     ],
 )
 def test_converge_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
@@ -146,6 +147,9 @@ def test_converge_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
         ("constants", "--alpha", "1/2", "--tol", "0"),
         ("orbit", "--x", "1/4", "--y", "1/4"),
         ("orbit", "--q", "5", "--r", "-1"),
+        ("constants", "--h", "40"),
+        ("constants", "--h", f"1,{MAX_LAG + 1}"),
+        ("converge", "S_h", "--q", "5", "--h", "3000000"),
     ],
 )
 def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
@@ -159,6 +163,54 @@ def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert f"{argv[0]}:" in err
+
+
+def test_largest_lag_is_accepted(capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(h):
+        raise Reached(h)
+
+    monkeypatch.setattr(bcz, "autocorrelation_constant", reached)
+    with pytest.raises(Reached):
+        run_cli(capsys, "constants", "--h", str(MAX_LAG))
+    with pytest.raises(Reached):
+        run_cli(capsys, "converge", "S_h", "--q", "5", "--h", str(MAX_LAG))
+
+
+@pytest.mark.parametrize(
+    "argv, environment",
+    [
+        (("--workers", "0"), None),
+        (("--workers", "-3"), None),
+        ((), "abc"),
+    ],
+)
+def test_workers_below_one_or_not_an_integer_is_a_usage_error(capsys, monkeypatch, argv,
+                                                              environment):
+    def no_walk(*args):
+        raise AssertionError("walked before validating")
+
+    monkeypatch.setattr(stats, "_run_chunks", no_walk)
+    if environment is not None:
+        monkeypatch.setenv("FAREY_INDEX_WORKERS", environment)
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "partial", "--q", "20", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--workers" in captured.err and "positive integer" in captured.err
+
+
+def test_workers_default_from_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FAREY_INDEX_WORKERS", "3")
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)  # chunks run in this process
+    out_file = tmp_path / "run.csv"
+    code, _, _ = run_cli(capsys, "converge", "partial", "--q", "20", "--out", str(out_file))
+    assert code == 0
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert manifest["workers"] == 3
 
 
 @pytest.mark.parametrize(

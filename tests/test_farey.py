@@ -1,23 +1,11 @@
-"""Farey walking, seeking and the index, checked against brute enumeration."""
+"""The index stream, seeking, ranks and the walk, checked against brute enumeration."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
-from farey_index import (
-    FareyWalker,
-    farey_rank,
-    index_of,
-    index_sequence,
-    index_stream,
-    interval_walk,
-    neighbor_numerators,
-    seek,
-    totient_summatory,
-    walker_start,
-    walker_step,
-)
+from farey_index import farey, farey_rank, index_sequence, interval_walk, seek, totient_summatory
 
 from conftest import brute_farey, brute_indices
 
@@ -54,71 +42,39 @@ def test_farey_rank_against_sorted_fractions():
         farey_rank(0, Fraction(1, 2))
 
 
-def test_walker_start_examples():
-    for q, expect in ((2, Fraction(1, 2)), (1, Fraction(1, 1)), (7, Fraction(1, 7))):
-        w = walker_start(q)
-        assert w.prev == 0 and w.curr == expect
-
-
-def test_walker_step_examples():
-    w = FareyWalker(5, Fraction(0), Fraction(1, 5))
-    w = walker_step(w)
-    assert (w.prev, w.curr) == (Fraction(1, 5), Fraction(1, 4))
-
-    w = FareyWalker(3, Fraction(1, 3), Fraction(1, 2))
-    w = walker_step(w)
-    assert (w.prev, w.curr) == (Fraction(1, 2), Fraction(2, 3))
-
-    w = FareyWalker(2, Fraction(1, 2), Fraction(1, 1))
-    w = walker_step(w)
-    assert (w.prev, w.curr) == (Fraction(1, 1), Fraction(3, 2))
-
-
-def test_walker_invariants_rejected():
-    with pytest.raises(ValueError):
-        FareyWalker(5, Fraction(1, 5), Fraction(1, 3))  # not unimodular
-    with pytest.raises(ValueError):
-        FareyWalker(5, Fraction(0), Fraction(1, 7))  # denominator out of range
-
-
 def test_walk_enumerates_farey_sequence_exactly():
     for q in range(1, 51):
         expected = brute_farey(q)
-        w = walker_start(q)
-        seen = []
-        for _ in range(len(expected)):
-            seen.append(w.curr)
-            assert w.curr.numerator * w.prev.denominator - w.prev.numerator * w.curr.denominator == 1
-            w = walker_step(w)
+        seen = [Fraction(a, b) for a, b, _ in interval_walk(q, 0, 1)]
         assert seen == expected
         assert seen[-1] == 1  # N(Q) elements end at 1/1
+        # neighbours are unimodular, from the element 0/1 before 1/Q on
+        for left, right in zip([Fraction(0)] + seen, seen):
+            assert right.numerator * left.denominator - left.numerator * right.denominator == 1
 
 
 def test_walk_reaches_one_after_n_minus_one_steps_up_to_300():
-    # the walker starts at the first element, so 1/1 appears N(Q) - 1 steps in
+    # nu = floor((Q + q_prev)/q) <= 2Q, with equality only at q = 1, q_prev = Q:
+    # the element 1/1.  So 1/1 is the N(Q)-th element, and no earlier one,
+    # exactly when the last of the N(Q) indices is 2Q and no other is.
     for q in range(1, 301):
-        n = totient_summatory(q)
-        w = walker_start(q)
-        for _ in range(n - 1):
-            w = walker_step(w)
-        assert w.curr == 1, q
+        nus = index_sequence(q)
+        assert nus[-1] == 2 * q and max(nus[:-1], default=0) < 2 * q, q
 
 
 def test_denominator_periodicity_after_full_period():
+    # the walk's state after N(Q) steps is again (q_prev, q) = (1, Q), so the
+    # stream carries on with the same indices
     for q in (7, 12, 30):
         n = totient_summatory(q)
-        w = walker_start(q)
-        states = [(w.prev.denominator, w.curr.denominator)]
-        for _ in range(n):
-            w = walker_step(w)
-            states.append((w.prev.denominator, w.curr.denominator))
-        assert states[n] == states[0]
+        stream = [k for block in farey.index_blocks(q, 1, q, n + 2) for k in block]
+        assert stream[n:] == stream[:2]
 
 
 def test_index_examples():
-    assert index_of(FareyWalker(3, Fraction(0), Fraction(1, 3))) == 1
-    assert index_of(FareyWalker(3, Fraction(2, 3), Fraction(1, 1))) == 6
-    assert index_of(FareyWalker(2, Fraction(1, 2), Fraction(1, 1))) == 4
+    assert index_sequence(3) == [1, 3, 1, 6]  # 1/3 has index 1, 1/1 has 6
+    assert index_sequence(2) == [1, 4]
+    assert index_sequence(1) == [2]
 
 
 def test_index_consistency_all_three_forms():
@@ -146,40 +102,29 @@ def test_index_sequence_matches_oracle():
     assert index_sequence(5) == [1, 2, 3, 1, 5, 1, 3, 2, 1, 10]
 
 
-def test_index_stream_is_periodic():
+def test_index_stream_is_periodic(monkeypatch):
     q = 9
     n = totient_summatory(q)
-    stream = index_stream(q)
-    first = [next(stream) for _ in range(n)]
-    second = [next(stream) for _ in range(n)]
-    assert first == second
-
-
-def test_neighbor_numerators_examples():
-    assert neighbor_numerators(2, 1, 2) == (1, 1)
-    assert neighbor_numerators(5, 4, 5) == (1, 1)
-    assert neighbor_numerators(3, 2, 4) == (1, 1)
-
-
-def test_neighbor_numerators_against_brute_pairs():
-    for q_max in (5, 8, 13):
-        fr = brute_farey(q_max)
-        for left, right in zip(fr, fr[1:]):
-            a, a2 = neighbor_numerators(left.denominator, right.denominator, q_max)
-            assert (a, a2) == (left.numerator, right.numerator)
-    with pytest.raises(ValueError):
-        neighbor_numerators(4, 2, 5)   # not coprime
-    with pytest.raises(ValueError):
-        neighbor_numerators(2, 2, 5)   # q + q2 <= Q
+    for block in (2, 5, farey._BLOCK):
+        monkeypatch.setattr(farey, "_BLOCK", block)
+        blocks = list(farey.index_blocks(q, 1, q, 2 * n))
+        assert all(0 < len(b) <= block for b in blocks)
+        stream = [k for b in blocks for k in b]
+        assert stream[:n] == stream[n:] == index_sequence(q)
+    assert list(farey.index_blocks(q, 1, q, 0)) == []
 
 
 def test_seek_examples():
-    w = seek(5, 0)
-    assert (w.prev, w.curr) == (Fraction(0), Fraction(1, 5))
-    w = seek(5, Fraction(1, 2))
-    assert (w.prev, w.curr) == (Fraction(1, 2), Fraction(3, 5))
-    w = seek(3, Fraction(3, 5))
-    assert (w.prev, w.curr) == (Fraction(1, 2), Fraction(2, 3))
+    assert seek(5, 0) == (0, 1, 1, 5)
+    assert seek(5, Fraction(1, 2)) == (1, 2, 3, 5)
+    assert seek(3, Fraction(3, 5)) == (1, 2, 2, 3)
+    assert seek(1, 0) == (0, 1, 1, 1)
+    assert seek(2, 1) == (1, 1, 3, 2)  # 1/1 is followed by the extension element 3/2
+    for q in (1, 2, 7):  # the walk from t = 0 starts with 0/1, 1/Q
+        assert seek(q, 0) == (0, 1, 1, q)
+    for t in (Fraction(-1, 3), Fraction(4, 3)):
+        with pytest.raises(ValueError):
+            seek(5, t)
 
 
 def test_seek_brackets_t_on_a_grid():
@@ -187,13 +132,14 @@ def test_seek_brackets_t_on_a_grid():
         fr = brute_farey(q)
         grid = [Fraction(i, 24) for i in range(25)] + [Fraction(1, q), Fraction(2, 3)]
         for t in grid:
-            w = seek(q, t)
-            assert w.prev <= t < w.curr
+            a, b, a2, q2 = seek(q, t)
+            assert all(isinstance(x, int) for x in (a, b, a2, q2))
+            assert Fraction(a, b) <= t < Fraction(a2, q2)
             later = [f for f in fr if f > t]
             if later:
-                assert w.curr == later[0]
+                assert Fraction(a2, q2) == later[0]
             else:
-                assert w.curr == fr[0] + 1  # extension element
+                assert Fraction(a2, q2) == fr[0] + 1  # extension element
 
 
 def test_seek_then_walk_covers_interval():
@@ -201,12 +147,7 @@ def test_seek_then_walk_covers_interval():
         fr = brute_farey(q)
         for t in (Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(9, 10)):
             expected = [f for f in fr if f > t]
-            w = seek(q, t)
-            seen = []
-            while w.curr <= 1:
-                seen.append(w.curr)
-                w = walker_step(w)
-            assert seen == expected
+            assert [Fraction(a, b) for a, b, _ in interval_walk(q, t, 1)] == expected
 
 
 def test_interval_walk_yields_indexed_fractions():

@@ -1,14 +1,24 @@
 """Property tests: random parameters against the brute-force oracles."""
 
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from farey_index import autocorr_sums, lu_count_table, partial_index_sums, stats
+from farey_index import (
+    autocorr_sums,
+    farey,
+    interval_walk,
+    lu_count_table,
+    partial_index_sums,
+    seek,
+    stats,
+)
 
-from conftest import brute_autocorr, brute_lu, brute_partial
+from conftest import brute_autocorr, brute_indices, brute_lu, brute_partial
 
 
 @settings(max_examples=40, deadline=None)
@@ -22,13 +32,40 @@ from conftest import brute_autocorr, brute_lu, brute_partial
         max_size=4,
     ),
     workers=st.integers(1, 6),
-    block=st.sampled_from((2, 5, stats._BLOCK)),
+    block=st.sampled_from((2, 5, farey._BLOCK)),
 )
 def test_multi_parameter_walks_property(q, lags, ks, ts, workers, block):
     # small blocks put block ends, and lags past a block, inside F_Q
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stats.os, "cpu_count", lambda: 1)
-        patch.setattr(stats, "_BLOCK", block)
+        patch.setattr(farey, "_BLOCK", block)
         assert autocorr_sums(q, lags, ts, workers) == brute_autocorr(q, lags, ts)
         assert lu_count_table(q, ks, ts, workers) == brute_lu(q, ks, ts)
         assert partial_index_sums(q, [0] + ts, workers) == brute_partial(q, [0] + ts)
+
+
+@st.composite
+def unit_rationals(draw):
+    """Rationals in [0, 1], with small denominators or ones of 10^12 and more."""
+    r = draw(st.one_of(st.integers(1, 200), st.integers(10**12, 10**18)))
+    return Fraction(draw(st.integers(0, r)), r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.one_of(st.integers(1, 60), st.integers(1, 10**9)), t=unit_rationals())
+def test_seek_returns_the_consecutive_pair_around_t(q, t):
+    a, b, a2, q2 = seek(q, t)
+    assert Fraction(a, b) <= t < Fraction(a2, q2)
+    assert a2 * b - a * q2 == 1
+    assert 1 <= b <= q and 1 <= q2 <= q
+    assert b + q2 > q
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.integers(1, 40), ends=st.lists(unit_rationals(), min_size=2, max_size=2))
+def test_interval_walk_matches_brute_farey(q, ends):
+    t0, t1 = sorted(ends)
+    fr, _, nus = brute_indices(q)
+    assert list(interval_walk(q, t0, t1)) == [
+        (f.numerator, f.denominator, nu) for f, nu in zip(fr, nus) if t0 < f <= t1
+    ]

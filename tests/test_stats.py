@@ -8,7 +8,6 @@ import pytest
 from farey_index import (
     ConvexPolygon,
     FAREY_TRIANGLE,
-    autocorr_record,
     autocorr_records,
     autocorr_sum,
     autocorr_sum_interval,
@@ -16,23 +15,19 @@ from farey_index import (
     hall_shiu_identity,
     lu_count_table,
     lu_counts,
-    lu_records,
     lu_table_records,
-    moment_record,
     moment_records,
     partial_index_sum,
     partial_index_sums,
-    partial_record,
     partial_records,
     polygon_area,
     region_polygon,
-    second_moment_record,
     sum_index,
     sum_index_power,
     totient_summatory,
     visible_points_count,
 )
-from farey_index import stats
+from farey_index import bcz, farey, stats
 from farey_index.stats import (
     euler_gamma,
     index_histogram,
@@ -217,7 +212,7 @@ def test_multi_parameter_walks_match_oracle(workers, monkeypatch):
         want = brute_autocorr(q, lags, ts)
         assert autocorr_sums(q, lags, ts, workers) == want
         with monkeypatch.context() as patch:
-            patch.setattr(stats, "_BLOCK", 2)  # block ends and lags past a block
+            patch.setattr(farey, "_BLOCK", 2)  # block ends and lags past a block
             assert autocorr_sums(q, lags, ts, workers) == want
         ks = [2, 1, 4, 2]
         assert lu_count_table(q, ks, ts, workers) == brute_lu(q, ks, ts)
@@ -234,7 +229,7 @@ def test_lags_reduced_mod_period_at_every_cutoff(monkeypatch):
     # Q = 120 has N = 4386 elements: lags past the kernel's block take their
     # partner from a stream of their own
     n = totient_summatory(120)
-    lags = [n - 1, stats._BLOCK + 1, 2, stats._BLOCK, n + 5]
+    lags = [n - 1, farey._BLOCK + 1, 2, farey._BLOCK, n + 5]
     ts = [F(2, 7), F(1)]
     want = brute_autocorr(120, lags, ts)
     for workers in (1, 3):
@@ -244,12 +239,14 @@ def test_lags_reduced_mod_period_at_every_cutoff(monkeypatch):
 def test_multi_parameter_records_match_single_ones():
     ts = [F(1, 2), F(1), F(1, 3)]
     assert autocorr_records(40, [2, 1], ts) == [
-        autocorr_record(40, h, t) for h in (2, 1) for t in ts
+        rec for h in (2, 1) for t in ts for rec in autocorr_records(40, [h], [t])
     ]
     assert lu_table_records(40, [3, 1], ts) == [
-        rec for k in (3, 1) for t in ts for rec in lu_records(40, k, t)
+        rec for k in (3, 1) for t in ts for rec in lu_table_records(40, [k], [t])
     ]
-    assert partial_records(40, ts) == [partial_record(40, t) for t in ts]
+    assert partial_records(40, ts) == [rec for t in ts for rec in partial_records(40, [t])]
+    alphas = [F(3, 2), 1, 2, F(1, 2)]
+    assert moment_records(40, alphas) == [rec for a in alphas for rec in moment_records(40, [a])]
 
 
 def test_pool_processes_capped_at_cpu_count(monkeypatch):
@@ -296,13 +293,23 @@ def test_moment_records_walk_one_histogram(monkeypatch):
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(stats, "_run_chunks", counted)
-    records = moment_records(200, [1, 2, F(1, 2), F(3, 2)])
+    alphas = [1, 2, F(1, 2), F(3, 2)]
+    records = moment_records(200, alphas)
     assert calls == [stats._chunk_histogram]  # alpha = 1 is read off it too
-    assert records == [
-        moment_record(200, 1),
-        second_moment_record(200),
-        moment_record(200, F(1, 2)),
-        moment_record(200, F(3, 2)),
+    # each reference value walks F_Q again, once per alpha
+    assert [rec.exact_value for rec in records] == [sum_index_power(200, a) for a in alphas]
+    n = totient_summatory(200)
+    assert [rec.prediction for rec in records] == [
+        2 * n * bcz.b_alpha(1).value,
+        second_moment_prediction(200),
+        2 * n * bcz.b_alpha(F(1, 2)).value,
+        2 * n * bcz.b_alpha(F(3, 2)).value,
+    ]
+    assert [(rec.parameter, rec.error_bound_form) for rec in records] == [
+        ("alpha=1", "Q*log(Q)^2"),
+        ("alpha=2", "Q*log(Q)^2"),
+        ("alpha=1/2", "Q*log(Q)"),
+        ("alpha=3/2", "Q^alpha*log(Q)"),
     ]
     with pytest.raises(ValueError):
         moment_records(200, [F(1, 2), 0])
@@ -364,27 +371,27 @@ def test_analytic_constants_against_mpmath():
 
 
 def test_second_moment_record():
-    rec = second_moment_record(300)
+    [rec] = moment_records(300, [2])
     assert rec.exact_value == sum_index_power(300, 2)
     assert rec.prediction == second_moment_prediction(300)
     assert abs(rec.ratio - 1) < 0.01
 
 
 def test_records_have_consistent_ratios():
-    rec = autocorr_record(200, 1)
+    [rec] = autocorr_records(200, [1])
     assert rec.exact_value == autocorr_sum(200, 1)
     assert math.isclose(rec.ratio, float(F(rec.exact_value) / rec.prediction))
 
-    rec = moment_record(200, 1)
+    [rec] = moment_records(200, [1])
     n = totient_summatory(200)
     assert F(rec.exact_value) == 3 * n - 1
     assert math.isclose(rec.ratio, 1 - 1 / (3 * n))
 
-    rec_l, rec_u = lu_records(200, 1)
+    rec_l, rec_u = lu_table_records(200, [1])
     assert rec_u.exact_value == 0 and rec_u.prediction == 0
     assert math.isnan(rec_u.ratio)
 
-    rec = partial_record(200, F(1, 2))
+    [rec] = partial_records(200, [F(1, 2)])
     assert rec.prediction == 3 * totient_summatory(200) * F(1, 2)
 
 
