@@ -42,6 +42,30 @@ def test_farey_rank_against_sorted_fractions():
         farey_rank(0, Fraction(1, 2))
 
 
+def test_walker_start_examples():
+    # the walk of F_Q from t = 0 starts at the pair (0/1, 1/Q)
+    for q, expect in ((2, Fraction(1, 2)), (1, Fraction(1, 1)), (7, Fraction(1, 7))):
+        assert seek(q, 0) == (0, 1, expect.numerator, expect.denominator)
+        a, b, _ = next(interval_walk(q, 0, 1))
+        assert Fraction(a, b) == expect
+
+
+def test_walker_step_examples():
+    # one step takes the pair (prev, curr) to (curr, next); seek at curr gives it
+    assert seek(5, Fraction(1, 5)) == (1, 5, 1, 4)
+    assert seek(3, Fraction(1, 2)) == (1, 2, 2, 3)
+    assert seek(2, 1) == (1, 1, 3, 2)  # past 1/1 onto the extension element 3/2
+    # the same steps through the walk itself
+    assert [Fraction(a, b) for a, b, _ in interval_walk(5, 0, Fraction(1, 4))] == [
+        Fraction(1, 5),
+        Fraction(1, 4),
+    ]
+    assert [Fraction(a, b) for a, b, _ in interval_walk(3, Fraction(1, 3), Fraction(2, 3))] == [
+        Fraction(1, 2),
+        Fraction(2, 3),
+    ]
+
+
 def test_walk_enumerates_farey_sequence_exactly():
     for q in range(1, 51):
         expected = brute_farey(q)
