@@ -17,7 +17,6 @@ from .geometry import (
     EMPTY_POLYGON,
     GeometryError,
     Point2,
-    Rational,
     UnimodularMap,
     apply_map,
     clip_convex,

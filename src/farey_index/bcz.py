@@ -15,11 +15,18 @@ Key structural facts used throughout (all verified by the test suite):
     one-step image is its mirror, which makes infinite tails of region sums
     telescope in closed form.
 
-Push-forwards decompose a polygon against the regions branch by branch.  A
-piece containing the corner (1, 0) meets infinitely many regions; once the
-unclipped remainder equals a full star region the loop emits that region's
-mirror in one step (exact, by the mirror identity), so every push-forward
-stays a finite union of convex polygons.
+Every step of the map starts from one region split of a convex piece: a
+sweep from the piece's smallest branch index upward cuts it once along each
+line 1 + x = k y, which leaves the region parts in increasing k.  A piece
+containing the corner (1, 0) meets infinitely many regions; once the uncut
+rest equals a full star region the sweep stops, and that star's image is its
+mirror (exact, by the mirror identity), so every push-forward stays a finite
+union of convex polygons.
+
+The constants read the same split.  The split of T^h star_m is cached per
+(m, h) and built from depth h - 1, and a point of region k lies in star_n for
+exactly n = 1..k, so every star-intersection area and every row of A(h) is a
+sum over the region parts and whole stars of one image.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ from .geometry import (
     GeometryError,
     Point2,
     UnimodularMap,
+    _split_halfplane_points,
     apply_map,
-    clip_convex,
     polygon_area,
 )
 
@@ -218,80 +225,46 @@ def mirror_set(s: SetLike) -> PolygonSet:
     return PolygonSet(tuple(mirror_polygon(p) for p in s.pieces))
 
 
-def set_polygon_intersection_area(s: SetLike, poly: ConvexPolygon) -> Fraction:
-    s = _as_set(s)
-    return sum(
-        (polygon_area(clip_convex(piece, poly)) for piece in s.pieces), Fraction(0)
-    )
-
-
-def set_intersection_area(s1: SetLike, s2: SetLike) -> Fraction:
-    s1 = _as_set(s1)
-    s2 = _as_set(s2)
-    total = Fraction(0)
-    for p in s1.pieces:
-        for q in s2.pieces:
-            total += polygon_area(clip_convex(p, q))
-    return total
-
-
-def symmetric_difference_area(s1: SetLike, s2: SetLike) -> Fraction:
-    """Area of the symmetric difference; 0 iff the two unions agree as sets."""
-    s1 = _as_set(s1)
-    s2 = _as_set(s2)
-    return s1.area + s2.area - 2 * set_intersection_area(s1, s2)
-
-
 def _check_inside_triangle(p: ConvexPolygon) -> None:
     for v in p.vertices:
         if not (0 <= v.x <= 1 and 0 <= v.y <= 1 and v.x + v.y >= 1):
             raise GeometryError(f"piece escaped the Farey triangle at {v}")
 
 
-def _step_piece(piece: ConvexPolygon) -> list[ConvexPolygon]:
-    """One exact application of the map to a convex piece of the triangle."""
+def _region_parts(piece: ConvexPolygon):
+    """Split a nonempty convex piece of the triangle into its region parts.
+
+    Returns the parts (k, piece . R_k) in increasing k, and the index of the
+    star region that the rest of the piece fills: a 1-tuple, or () when the
+    parts cover the whole piece.
+    """
     _check_inside_triangle(piece)
-    total = polygon_area(piece)
-    if total == 0:
-        return []
-
-    # the branch index (1+x)/y is a ratio of linear forms, so its extrema over
-    # a convex polygon are attained at vertices; a vertex at (1, 0) makes the
-    # piece meet infinitely many regions and is handled by star absorption
-    k_lo = None
-    k_hi = None
-    corner = False
-    for v in piece.vertices:
-        if v.y == 0:
-            corner = True
-            continue
-        ratio = (1 + v.x) / v.y
-        k_v = ratio.numerator // ratio.denominator
-        k_lo = k_v if k_lo is None else min(k_lo, k_v)
-        k_hi = k_v if k_hi is None else max(k_hi, k_v)
-
-    out = []
-    acc = Fraction(0)
-    k = max(1, k_lo)
+    # the branch index (1+x)/y is a ratio of linear forms, so its minimum over
+    # a convex polygon is attained at a vertex; the corner (1, 0) has none
+    k = min((1 + v.x) // v.y for v in piece.vertices if v.y)
+    parts = []
+    rest = piece
     while True:
-        part = clip_convex(piece, region_polygon(k))
-        if part.vertices:
-            out.append(apply_map(part, _branch(k)))
-            acc += polygon_area(part)
-        if acc == total:
-            break
-        if corner:
-            # remainder is piece . star(k+1); if it fills the whole star,
-            # its image is the mirrored star (one exact piece)
-            if total - acc == star_area(k + 1):
-                out.append(mirror_polygon(region_star_polygon(k + 1)))
-                break
-        elif k >= k_hi:
-            raise GeometryError("region decomposition failed to exhaust piece")
+        # rest is piece . star_k; the line 1 + x = (k+1) y cuts off region k
+        below, above = _split_halfplane_points(
+            [v.as_tuple() for v in rest.vertices], 1, -(k + 1), -1
+        )
+        parts.append((k, ConvexPolygon(tuple(below))))
+        rest = ConvexPolygon(tuple(above))
+        if not rest:
+            return parts, ()
+        if rest == region_star_polygon(k + 1):
+            return parts, (k + 1,)
         if k >= _REGION_SCAN_LIMIT:
             raise GeometryError("region decomposition did not terminate")
         k += 1
-    return out
+
+
+def _map_split(parts, stars) -> list[ConvexPolygon]:
+    """Image under the map of region parts (k, part) and whole star regions."""
+    return [apply_map(part, _branch(k)) for k, part in parts] + [
+        mirror_polygon(region_star_polygon(j)) for j in stars
+    ]
 
 
 def push_forward(s: SetLike, h: int) -> PolygonSet:
@@ -306,7 +279,7 @@ def push_forward(s: SetLike, h: int) -> PolygonSet:
     if h < 0:
         return mirror_set(push_forward(mirror_set(s), -h))
     for _ in range(h):
-        s = PolygonSet(tuple(q for p in s.pieces for q in _step_piece(p)))
+        s = PolygonSet(tuple(q for p in s.pieces for q in _map_split(*_region_parts(p))))
     return s
 
 
@@ -315,35 +288,34 @@ def push_forward(s: SetLike, h: int) -> PolygonSet:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _forward_star_pieces(m: int, steps: int) -> Tuple[ConvexPolygon, ...]:
-    """Pieces of T^(steps+1) applied to star region m.
+def _star_image(m: int, h: int):
+    """The region split of T^h star_m, as (parts, stars, profile).
 
-    The first application is free (the mirror identity); the remaining
-    `steps` applications are exact push-forwards.
+    `parts` and `stars` are as in `_region_parts`, over all pieces of the
+    image; `profile` pairs each region k with the area of the image in it.
+    Depth 0 is star_m whole; depth h splits the image of depth h - 1.
     """
-    base = PolygonSet((mirror_polygon(region_star_polygon(m)),))
-    pushed = push_forward(base, steps)
-    if pushed.area != star_area(m):
+    if h == 0:
+        return (), (m,), ()
+    parts = []
+    stars = ()
+    for piece in _map_split(*_star_image(m, h - 1)[:2]):
+        split, star = _region_parts(piece)
+        parts += split
+        stars += star
+    profile = {}
+    for k, part in parts:
+        profile[k] = profile.get(k, 0) + polygon_area(part)
+    if sum(profile.values()) + sum(star_area(j) for j in stars) != star_area(m):
         raise GeometryError("push-forward lost area")
-    return pushed.pieces
-
-
-@lru_cache(maxsize=None)
-def _backward_star_pieces(n: int, steps: int) -> Tuple[ConvexPolygon, ...]:
-    """Pieces of T^(-steps) applied to star region n (S T^steps S conjugation)."""
-    if steps == 0:
-        return (region_star_polygon(n),)
-    base = PolygonSet((mirror_polygon(region_star_polygon(n)),))
-    pushed = push_forward(base, steps)
-    return tuple(mirror_polygon(p) for p in pushed.pieces)
+    return tuple(parts), stars, tuple(sorted(profile.items()))
 
 
 def star_intersection_area(h: int, m: int, n: int) -> Fraction:
     """Exact area of (T^h star_m) . star_n.
 
-    The exponent is split between a forward image of star_m and a backward
-    image of star_n so that neither side needs more than about h/2 explicit
-    push-forward steps.
+    Region k lies in star_n exactly when k >= n, and star_j . star_n is
+    star_max(j, n), so the area is read off the region split of T^h star_m.
     """
     if h < 1 or m < 1 or n < 1:
         raise ValueError("need h >= 1 and region indices >= 1")
@@ -351,15 +323,9 @@ def star_intersection_area(h: int, m: int, n: int) -> Fraction:
         return star_area(n)
     if n == 1:
         return star_area(m)
-    fwd = (h + 2) // 2
-    bwd = h - fwd
-    left = _forward_star_pieces(m, fwd - 1)
-    right = _backward_star_pieces(n, bwd)
-    total = Fraction(0)
-    for p in left:
-        for q in right:
-            total += polygon_area(clip_convex(p, q))
-    return total
+    _, stars, profile = _star_image(m, h)
+    total = sum((area for k, area in profile if k >= n), Fraction(0))
+    return total + sum((star_area(max(j, n)) for j in stars), Fraction(0))
 
 
 def intersection_area_table(h: int, size: int) -> list[list[Fraction]]:
@@ -373,24 +339,17 @@ def intersection_area_table(h: int, size: int) -> list[list[Fraction]]:
 
 
 def _star_row_sum(h: int, m: int) -> Fraction:
-    """Sum over n >= 2 of area((T^h star_m) . star_n), with exact tails.
+    """Sum over n >= 2 of area((T^h star_m) . star_n), in closed form.
 
-    The terms are nonincreasing in n.  Once a term vanishes the rest vanish;
-    once a term equals the full star area the image contains every later star
-    and the remaining sum telescopes to 2/n.
+    A point of region k lies in star_2, ..., star_k, so region k's area counts
+    k - 1 times; a whole star_j counts (j - 1) star_area(j) plus the
+    telescoped areas 2/(j+1) of the stars beyond it.
     """
-    total = Fraction(0)
-    n = 2
-    while True:
-        a_n = star_intersection_area(h, m, n)
-        if a_n == 0:
-            return total
-        if a_n == star_area(n):
-            return total + Fraction(2, n)
-        total += a_n
-        n += 1
-        if n > _REGION_SCAN_LIMIT:
-            raise TailCertificateError(f"row sum for m={m} did not terminate")
+    _, stars, profile = _star_image(m, h)
+    total = sum(((k - 1) * area for k, area in profile), Fraction(0))
+    for j in stars:
+        total += (j - 1) * star_area(j) + Fraction(2, j + 1)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -399,12 +358,13 @@ def autocorrelation_constant(h: int, block_limit: int | None = None) -> Fraction
 
     A(h)/2 is the doubly infinite sum of star-intersection areas.  Row m=1 and
     column n=1 are analytic (each equals the sum of all star areas, 3/2, so
-    together they contribute 5/2).  Rows 2 <= m < M are summed exactly with
-    telescoped tails.  Rows m >= M (default M = 4h + 2) are certified by the
-    geometry of the M-th image: it must avoid star_3 entirely, and must either
-    avoid star_2 (rows contribute nothing) or lie inside it (rows contribute
-    the telescoped star areas, 2/M).  Nestedness of the stars transfers the
-    certificate to every row beyond M; any other configuration raises.
+    together they contribute 5/2).  Each row 2 <= m < M is summed in closed
+    form from the region split of T^h star_m.  Rows m >= M (default
+    M = 4h + 2) are certified by the split of T^h star_M: the image must
+    avoid star_3 entirely, and must either avoid star_2 (rows contribute
+    nothing) or lie inside it (rows contribute the telescoped star areas,
+    2/M).  Nestedness of the stars transfers the certificate to every row
+    beyond M; any other configuration raises.
     """
     if h < 1:
         raise ValueError("h must be >= 1")

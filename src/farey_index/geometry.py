@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 
@@ -191,9 +189,11 @@ def _bboxes_cannot_overlap(p: ConvexPolygon, q: ConvexPolygon) -> bool:
     return px1 <= qx0 or qx1 <= px0 or py1 <= qy0 or qy1 <= py0
 
 
-def _clip_halfplane_points(pts, a, b, c):
-    """One Sutherland-Hodgman pass keeping {a x + b y <= c}."""
-    out = []
+def _split_halfplane_points(pts, a, b, c):
+    """One Sutherland-Hodgman pass: the vertex lists of {a x + b y <= c} and
+    {a x + b y >= c} inside the convex polygon with vertices pts."""
+    below = []
+    above = []
     n = len(pts)
     for i in range(n):
         px, py = pts[i]
@@ -201,11 +201,15 @@ def _clip_halfplane_points(pts, a, b, c):
         fp = a * px + b * py - c
         fq = a * qx + b * qy - c
         if fp <= 0:
-            out.append((px, py))
+            below.append((px, py))
+        if fp >= 0:
+            above.append((px, py))
         if (fp < 0 < fq) or (fq < 0 < fp):
             t = fp / (fp - fq)
-            out.append((px + t * (qx - px), py + t * (qy - py)))
-    return out
+            cut = (px + t * (qx - px), py + t * (qy - py))
+            below.append(cut)
+            above.append(cut)
+    return below, above
 
 
 def clip_convex(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
@@ -224,7 +228,7 @@ def clip_convex(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
         a = B.y - A.y
         b = A.x - B.x
         c = a * A.x + b * A.y
-        pts = _clip_halfplane_points(pts, a, b, c)
+        pts = _split_halfplane_points(pts, a, b, c)[0]
         if not pts:
             return EMPTY_POLYGON
     return ConvexPolygon(tuple(pts))
@@ -250,7 +254,8 @@ def half_plane_clip(
         raise GeometryError("half plane normal must be nonzero")
     if not p.vertices:
         return EMPTY_POLYGON
-    result = ConvexPolygon(tuple(_clip_halfplane_points([v.as_tuple() for v in p.vertices], a, b, c)))
+    below = _split_halfplane_points([v.as_tuple() for v in p.vertices], a, b, c)[0]
+    result = ConvexPolygon(tuple(below))
     if closed:
         return result
     if any(a * v.x + b * v.y < c for v in p.vertices):

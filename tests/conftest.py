@@ -3,14 +3,20 @@
 Everything here is deliberately independent of the package internals: Farey
 sequences come from sorting all reduced fractions, index values from the
 neighbor-sum quotient, convex hulls from a monotone chain over integer points.
+Areas of unions of polygons come from clipping every pair of pieces with the
+public `clip_convex`, not from the region split that the package uses.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+
+from farey_index import PolygonSet, clip_convex, polygon_area, push_forward, region_star_polygon
+from farey_index.bcz import mirror_polygon, mirror_set
 
 
 def brute_farey(q_max):
@@ -100,6 +106,46 @@ def shoelace2(points):
         x1, y1 = points[(i + 1) % n]
         total += x0 * y1 - x1 * y0
     return total
+
+
+def _pieces(s):
+    return s.pieces if isinstance(s, PolygonSet) else (s,)
+
+
+def set_polygon_intersection_area(s, poly):
+    """Area of a polygon set (or polygon) inside one convex polygon."""
+    return sum((polygon_area(clip_convex(p, poly)) for p in _pieces(s)), Fraction(0))
+
+
+def set_intersection_area(s1, s2):
+    """Area of the intersection of two polygon sets, one clip per pair of pieces."""
+    return sum(
+        (polygon_area(clip_convex(p, q)) for p in _pieces(s1) for q in _pieces(s2)), Fraction(0)
+    )
+
+
+def symmetric_difference_area(s1, s2):
+    """Area of the symmetric difference; 0 iff the two unions agree as sets."""
+    area = lambda s: sum((polygon_area(p) for p in _pieces(s)), Fraction(0))
+    return area(s1) + area(s2) - 2 * set_intersection_area(s1, s2)
+
+
+@lru_cache(maxsize=None)
+def _mirrored_star_pushed(m, steps):
+    """T^(steps+1) star_m as a polygon set: the free mirror, then push_forward."""
+    return push_forward(PolygonSet((mirror_polygon(region_star_polygon(m)),)), steps)
+
+
+def split_route_intersection_area(h, m, n):
+    """area((T^h star_m) . star_n) as T^f star_m . T^(f-h) star_n, f = (h+2)//2.
+
+    Each side is pushed about h/2 steps and every pair of pieces is clipped.
+    """
+    fwd = (h + 2) // 2
+    left = _mirrored_star_pushed(m, fwd - 1)
+    # T^(f-h) star_n = S T^(h-f) S star_n, and S star_n = T star_n
+    right = mirror_set(_mirrored_star_pushed(n, h - fwd)) if h > fwd else region_star_polygon(n)
+    return set_intersection_area(left, right)
 
 
 @pytest.fixture(scope="session")

@@ -35,10 +35,10 @@ from farey_index import (
     upper_frequency,
     upper_lower_triangles,
 )
-from farey_index.bcz import mirror_polygon, star_area, symmetric_difference_area
+from farey_index.bcz import mirror_polygon, star_area
 from farey_index.stats import second_moment_prediction
 
-from conftest import brute_indices
+from conftest import brute_indices, symmetric_difference_area
 
 F = Fraction
 

@@ -25,15 +25,15 @@ from farey_index import (
     upper_frequency,
     upper_lower_triangles,
 )
-from farey_index.bcz import (
-    mirror_polygon,
-    mirror_set,
+from farey_index.bcz import mirror_polygon, mirror_set, star_area
+
+from conftest import (
+    brute_farey,
     set_intersection_area,
-    star_area,
+    set_polygon_intersection_area,
+    split_route_intersection_area,
     symmetric_difference_area,
 )
-
-from conftest import brute_farey
 
 F = Fraction
 
@@ -278,10 +278,8 @@ def test_star_images_under_pushes_keep_area():
 
 
 def test_direct_push_route_agrees_with_split_route():
-    # the table entries use a forward/backward split; the direct push of the
-    # star through two steps must land on the same intersection areas
-    from farey_index.bcz import set_polygon_intersection_area
-
+    # the direct push of the star through two steps, clipped against the
+    # stars, must land on the same areas as the table entries
     pushed = push_forward(PolygonSet((region_star_polygon(3),)), 2)
     assert set_polygon_intersection_area(pushed, region_star_polygon(3)) == F(1, 10)
     assert set_polygon_intersection_area(pushed, region_star_polygon(2)) == F(31, 210)
@@ -306,3 +304,21 @@ def test_set_intersection_area_against_symmetry():
     assert value == star_intersection_area(1, 2, 3) == F(1, 30)
     mirrored = mirror_set(left)
     assert mirrored.area == left.area
+
+
+def test_autocorrelation_constants_pinned_to_eight():
+    assert autocorrelation_constant(3) == F(2582873, 323323)
+    assert autocorrelation_constant(4) == F(57489842351, 6692786100)
+    assert autocorrelation_constant(5) == F(5354851752161, 644658718275)
+    assert autocorrelation_constant(6) == F(116203372313309, 13095420237900)
+    assert autocorrelation_constant(7) == F(9741578165532117673, 1177448519850302700)
+    assert autocorrelation_constant(8) == F(6764311305628664274121, 774761126061499176600)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_star_intersection_area_matches_split_route(h):
+    # the region split of T^h star_m against every pair of pieces of
+    # T^f star_m and T^(f-h) star_n, clipped one by one
+    for m in range(1, 4 * h + 4):
+        for n in range(1, 4 * h + 4):
+            assert star_intersection_area(h, m, n) == split_route_intersection_area(h, m, n), (m, n)

@@ -150,6 +150,7 @@ def test_converge_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
         ("constants", "--h", "40"),
         ("constants", "--h", f"1,{MAX_LAG + 1}"),
         ("converge", "S_h", "--q", "5", "--h", "3000000"),
+        ("tables", "--h", str(MAX_LAG + 1), "--M", "2"),
     ],
 )
 def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
@@ -157,7 +158,7 @@ def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
         raise AssertionError("computed before validating")
 
     for module, name in ((stats, "visible_points_count"), (bcz, "autocorrelation_constant"),
-                         (bcz, "b_alpha"), (bcz, "orbit")):
+                         (bcz, "b_alpha"), (bcz, "orbit"), (bcz, "intersection_area_table")):
         monkeypatch.setattr(module, name, no_work)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -6,19 +6,33 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from farey_index import (
+    ConvexPolygon,
     autocorr_sums,
+    bcz,
+    clip_convex,
     farey,
     interval_walk,
     lu_count_table,
     partial_index_sums,
+    polygon_area,
+    push_forward,
+    region_polygon,
+    region_star_polygon,
     seek,
     stats,
 )
 
-from conftest import brute_autocorr, brute_indices, brute_lu, brute_partial
+from conftest import (
+    brute_autocorr,
+    brute_indices,
+    brute_lu,
+    brute_partial,
+    hull,
+    symmetric_difference_area,
+)
 
 
 @settings(max_examples=40, deadline=None)
@@ -69,3 +83,43 @@ def test_interval_walk_matches_brute_farey(q, ends):
     assert list(interval_walk(q, t0, t1)) == [
         (f.numerator, f.denominator, nu) for f, nu in zip(fr, nus) if t0 < f <= t1
     ]
+
+
+@st.composite
+def triangle_pieces(draw):
+    """Rational convex pieces of the Farey triangle, some filling the corner (1, 0).
+
+    The hull of a few points of the triangle with y > 0; a corner piece also
+    holds (1, 0) and a point on each of the two edges x = 1 and x + y = 1
+    there, so it contains every star region from some index on.
+    """
+    den = draw(st.integers(1, 30))
+    points = []
+    for _ in range(draw(st.integers(3, 6))):
+        a = draw(st.integers(0, den))
+        b = draw(st.integers(max(den - a, 1), den))
+        points.append((Fraction(a, den), Fraction(b, den)))
+    if draw(st.booleans()):
+        s = Fraction(draw(st.integers(1, den)), den)
+        t = Fraction(draw(st.integers(1, den)), den)
+        points += [(Fraction(1), Fraction(0)), (Fraction(1), s), (1 - t, t)]
+    return ConvexPolygon(tuple(hull(points)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(piece=triangle_pieces())
+def test_region_sweep_matches_region_clips(piece):
+    assume(piece)
+    area = polygon_area(piece)
+    parts, stars = bcz._region_parts(piece)
+    for k, part in parts:
+        assert part == clip_convex(piece, region_polygon(k))
+    for j in stars:
+        assert j > parts[-1][0]
+        assert clip_convex(piece, region_star_polygon(j)) == region_star_polygon(j)
+        area -= bcz.star_area(j)
+    assert sum(polygon_area(part) for _, part in parts) == area
+
+    pushed = push_forward(piece, 1)
+    assert pushed.area == polygon_area(piece)
+    assert symmetric_difference_area(push_forward(pushed, -1), piece) == 0
