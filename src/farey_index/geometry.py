@@ -254,8 +254,7 @@ def half_plane_clip(
         raise GeometryError("half plane normal must be nonzero")
     if not p.vertices:
         return EMPTY_POLYGON
-    below = _split_halfplane_points([v.as_tuple() for v in p.vertices], a, b, c)[0]
-    result = ConvexPolygon(tuple(below))
+    result = ConvexPolygon(tuple(_split_halfplane_points([v.as_tuple() for v in p.vertices], a, b, c)[0]))
     if closed:
         return result
     if any(a * v.x + b * v.y < c for v in p.vertices):

@@ -4,7 +4,8 @@ Everything here is deliberately independent of the package internals: Farey
 sequences come from sorting all reduced fractions, index values from the
 neighbor-sum quotient, convex hulls from a monotone chain over integer points.
 Areas of unions of polygons come from clipping every pair of pieces with the
-public `clip_convex`, not from the region split that the package uses.
+public `clip_convex`, never from the region profiles that
+`star_intersection_area` reads.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ def set_intersection_area(s1, s2):
 
 def symmetric_difference_area(s1, s2):
     """Area of the symmetric difference; 0 iff the two unions agree as sets."""
-    area = lambda s: sum((polygon_area(p) for p in _pieces(s)), Fraction(0))
-    return area(s1) + area(s2) - 2 * set_intersection_area(s1, s2)
+    area = PolygonSet(_pieces(s1)).area + PolygonSet(_pieces(s2)).area
+    return area - 2 * set_intersection_area(s1, s2)
 
 
 @lru_cache(maxsize=None)
