@@ -2,7 +2,7 @@
 
 The package has four library layers and a CLI:
 
-    geometry   exact rational points, convex polygons, clipping, unimodular maps
+    geometry   exact integer-vertex convex polygons, clipping, unimodular maps
     farey      the Farey index stream, seeking, ranks and the totient sum
     bcz        the area-preserving transfer map on the Farey triangle, its
                region decomposition, push-forwards and exact constants

@@ -23,14 +23,18 @@ rest equals a full star region the sweep stops, and that star's image is its
 mirror (exact, by the mirror identity), so every push-forward stays a finite
 union of convex polygons.
 
-The constants read the same split.  The split of T^h star_m is cached per
-(m, h) and built from depth h - 1, and a point of region k lies in star_n for
-exactly n = 1..k, so every star-intersection area and every row of A(h) is a
-sum over the region parts and whole stars of one image.
+The constants read the same split.  The split of T^h star_m is built from
+depth h - 1, and a point of region k lies in star_n for exactly n = 1..k, so
+every star-intersection area and every row of A(h) is a sum over the region
+parts and whole stars of one image.  Pieces are integer-vertex polygons
+(`geometry`), and every branch of the map is an integer matrix of
+determinant 1, so a map image keeps its denominator; only the cuts make new
+ones.  The orbit of a point runs on integers over its common denominator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +45,7 @@ from .geometry import (
     GeometryError,
     Point2,
     UnimodularMap,
+    _polygon,
     _split_halfplane_points,
     apply_map,
     polygon_area,
@@ -91,17 +96,23 @@ class OrbitState:
 def orbit(p: Point2, r: int) -> OrbitState:
     """Iterate the map r times from p, recording the L-recursion and indices.
 
-    Satisfies L_{i+1} = kappa_i * L_i - L_{i-1} with L_0 = x, L_1 = y.
+    Satisfies L_{i+1} = kappa_i * L_i - L_{i-1} with L_0 = x, L_1 = y.  The
+    orbit runs on integers (X, Y) over the common denominator D of the start,
+    which the map keeps: k = (D + X) // Y and (X, Y) <- (Y, k Y - X).
     """
     if r < 0:
         raise ValueError("orbit length must be >= 0")
+    region_index(p)  # the triangle is invariant, so checking the start suffices
+    den = math.lcm(p.x.denominator, p.y.denominator)
+    x = p.x.numerator * (den // p.x.denominator)
+    y = p.y.numerator * (den // p.y.denominator)
     values = [p.x, p.y]
     kappas = []
-    current = p
     for _ in range(r):
-        current, k = bcz_apply(current)
+        k = (den + x) // y
+        x, y = y, k * y - x
         kappas.append(k)
-        values.append(current.y)
+        values.append(Fraction(y, den))
     return OrbitState(tuple(values), tuple(kappas))
 
 
@@ -226,9 +237,10 @@ def mirror_set(s: SetLike) -> PolygonSet:
 
 
 def _check_inside_triangle(p: ConvexPolygon) -> None:
-    for v in p.vertices:
-        if not (0 <= v.x <= 1 and 0 <= v.y <= 1 and v.x + v.y >= 1):
-            raise GeometryError(f"piece escaped the Farey triangle at {v}")
+    den = p.den
+    for x, y in p.coords:
+        if not (0 <= x <= den and 0 <= y <= den and x + y >= den):
+            raise GeometryError(f"piece escaped the Farey triangle at ({x}/{den}, {y}/{den})")
 
 
 def _region_parts(piece: ConvexPolygon):
@@ -241,16 +253,15 @@ def _region_parts(piece: ConvexPolygon):
     _check_inside_triangle(piece)
     # the branch index (1+x)/y is a ratio of linear forms, so its minimum over
     # a convex polygon is attained at a vertex; the corner (1, 0) has none
-    k = min((1 + v.x) // v.y for v in piece.vertices if v.y)
+    den = piece.den
+    k = min((den + x) // y for x, y in piece.coords if y)
     parts = []
     rest = piece
     while True:
         # rest is piece . star_k; the line 1 + x = (k+1) y cuts off region k
-        below, above = _split_halfplane_points(
-            [v.as_tuple() for v in rest.vertices], 1, -(k + 1), -1
-        )
-        parts.append((k, ConvexPolygon(tuple(below))))
-        rest = ConvexPolygon(tuple(above))
+        below, above, den = _split_halfplane_points(rest.coords, rest.den, 1, -(k + 1), -1)
+        parts.append((k, _polygon(below, den)))
+        rest = _polygon(above, den)
         if not rest:
             return parts, ()
         if rest == region_star_polygon(k + 1):
@@ -287,28 +298,44 @@ def push_forward(s: SetLike, h: int) -> PolygonSet:
 # Star-intersection areas and the autocorrelation constants
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _star_image(m: int, h: int):
-    """The region split of T^h star_m, as (parts, stars, profile).
+# The split of T^h star_m is built from the split of depth h - 1.  Only the
+# parts of the deepest split built so far are kept per m, since nothing else
+# reads parts; the small (stars, profile) summary is kept for every (m, h).
+_star_summaries: dict = {}
+_deepest_split: dict = {}
 
-    `parts` and `stars` are as in `_region_parts`, over all pieces of the
-    image; `profile` pairs each region k with the area of the image in it.
-    Depth 0 is star_m whole; depth h splits the image of depth h - 1.
+
+def _star_image(m: int, h: int):
+    """The region split of T^h star_m, summarized as (stars, profile).
+
+    `stars` is as in `_region_parts`, over all pieces of the image; `profile`
+    pairs each region k with the area of the image in it.  Depth 0 is star_m
+    whole; depth h splits the image of depth h - 1.
     """
-    if h == 0:
-        return (), (m,), ()
-    parts = []
-    stars = ()
-    for piece in _map_split(*_star_image(m, h - 1)[:2]):
-        split, star = _region_parts(piece)
-        parts += split
-        stars += star
-    profile = {}
-    for k, part in parts:
-        profile[k] = profile.get(k, 0) + polygon_area(part)
-    if sum(profile.values()) + sum(star_area(j) for j in stars) != star_area(m):
-        raise GeometryError("push-forward lost area")
-    return tuple(parts), stars, tuple(sorted(profile.items()))
+    summary = _star_summaries.get((m, h))
+    if summary is not None:
+        return summary
+    depth, parts, stars = _deepest_split.get(m, (0, (), (m,)))
+    if depth >= h:  # the parts of depth h were discarded: split again from star_m
+        depth, parts, stars = 0, (), (m,)
+    while depth < h:
+        pieces = _map_split(parts, stars)
+        parts = []
+        stars = ()
+        for piece in pieces:
+            split, star = _region_parts(piece)
+            parts += split
+            stars += star
+        depth += 1
+        profile = {}
+        for k, part in parts:
+            profile[k] = profile.get(k, 0) + polygon_area(part)
+        if sum(profile.values()) + sum(star_area(j) for j in stars) != star_area(m):
+            raise GeometryError("push-forward lost area")
+        _star_summaries[m, depth] = stars, tuple(sorted(profile.items()))
+    if depth > _deepest_split.get(m, (0,))[0]:
+        _deepest_split[m] = depth, parts, stars
+    return _star_summaries[m, h]
 
 
 def star_intersection_area(h: int, m: int, n: int) -> Fraction:
@@ -323,7 +350,7 @@ def star_intersection_area(h: int, m: int, n: int) -> Fraction:
         return star_area(n)
     if n == 1:
         return star_area(m)
-    _, stars, profile = _star_image(m, h)
+    stars, profile = _star_image(m, h)
     total = sum((area for k, area in profile if k >= n), Fraction(0))
     return total + sum((star_area(max(j, n)) for j in stars), Fraction(0))
 
@@ -345,7 +372,7 @@ def _star_row_sum(h: int, m: int) -> Fraction:
     k - 1 times; a whole star_j counts (j - 1) star_area(j) plus the
     telescoped areas 2/(j+1) of the stars beyond it.
     """
-    _, stars, profile = _star_image(m, h)
+    stars, profile = _star_image(m, h)
     total = sum(((k - 1) * area for k, area in profile), Fraction(0))
     for j in stars:
         total += (j - 1) * star_area(j) + Fraction(2, j + 1)

@@ -1,11 +1,21 @@
-"""Exact rational plane geometry.
+"""Exact rational plane geometry on integers.
 
-Every coordinate, area and clip result is an arbitrary-precision rational
-(`fractions.Fraction`), so all operations here are exact: there are no
-epsilons and no rounding anywhere.  Polygons are immutable value objects
-normalized to a canonical form (counterclockwise order, collinear vertices
-dropped, vertex cycle rotated to start at the lexicographically smallest
-point), which makes equality structural and hashing safe.
+A convex polygon is held as integer vertex pairs (X, Y) over one common
+denominator D > 0, the vertex (X/D, Y/D), with D reduced by the gcd of D and
+all coordinates.  Splits, unimodular images and areas run on these integers
+alone, so every operation is exact: there are no epsilons and no rounding,
+and no `fractions.Fraction` arithmetic on the hot path.  Polygons are
+immutable value objects in a canonical form (counterclockwise order, no
+repeated or collinear vertices, vertex cycle rotated to start at the
+lexicographically smallest point), which makes equality structural and
+hashing safe.  The `vertices` view gives the same vertices as `Point2`s of
+`Fraction` coordinates, and a reported area is a `Fraction`.
+
+A half-plane split is the only operation that makes new denominators; its
+outputs, and constructor input, are the only polygons normalized in full.
+An image under an integer map of determinant +1 is canonical up to its start
+vertex, and one of determinant -1 up to its order and start vertex, and both
+keep the reduced D.
 
 Degenerate intersections (points, segments) normalize to the empty polygon:
 only areas matter downstream and those sets carry none.
@@ -13,9 +23,10 @@ only areas matter downstream and those sets carry none.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Iterable, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -64,72 +75,119 @@ def _as_point(p: PointLike) -> Point2:
     return Point2(_coerce(x), _coerce(y))
 
 
-def _signed_area2(pts) -> Fraction:
-    total = Fraction(0)
-    n = len(pts)
-    for i in range(n):
-        a = pts[i]
-        b = pts[(i + 1) % n]
-        total += a.x * b.y - b.x * a.y
+def _cross(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _area2(pts) -> int:
+    """Twice the signed area of integer points, over the square of their denominator."""
+    total = 0
+    x0, y0 = pts[-1]
+    for x1, y1 in pts:
+        total += x0 * y1 - x1 * y0
+        x0, y0 = x1, y1
     return total
 
 
-def _canonical(raw) -> Tuple[Point2, ...]:
-    pts = [_as_point(p) for p in raw]
-
-    dedup: list[Point2] = []
+def _canonical(pts, den: int):
+    """The canonical (points, den) of integer points over den, or ((), 1) if degenerate."""
+    dedup: list = []
     for p in pts:
         if not dedup or p != dedup[-1]:
             dedup.append(p)
     while len(dedup) > 1 and dedup[0] == dedup[-1]:
         dedup.pop()
     if len(dedup) < 3:
-        return ()
+        return (), 1
 
-    area2 = _signed_area2(dedup)
+    area2 = _area2(dedup)
     if area2 == 0:
-        return ()
+        return (), 1
     if area2 < 0:
         dedup.reverse()
 
-    # drop vertices interior to an edge; repeat until stable
-    changed = True
-    while changed and len(dedup) >= 3:
-        changed = False
+    # drop vertices interior to an edge, one at a time until none is left
+    while True:
         n = len(dedup)
-        for i in range(n):
-            if cross(dedup[i - 1], dedup[i], dedup[(i + 1) % n]) == 0:
-                del dedup[i]
-                changed = True
-                break
-    if len(dedup) < 3:
-        return ()
+        if n < 3:
+            return (), 1
+        turns = [_cross(dedup[i - 1], dedup[i], dedup[i + 1 - n]) for i in range(n)]
+        if 0 not in turns:
+            break
+        del dedup[turns.index(0)]
+    if min(turns) < 0:
+        raise GeometryError("vertices do not describe a convex polygon")
 
-    n = len(dedup)
-    for i in range(n):
-        if cross(dedup[i - 1], dedup[i], dedup[(i + 1) % n]) <= 0:
-            raise GeometryError("vertices do not describe a convex polygon")
+    g = math.gcd(den, *(c for p in dedup for c in p))
+    if g > 1:
+        den //= g
+        dedup = [(x // g, y // g) for x, y in dedup]
+    start = min(range(n), key=dedup.__getitem__)
+    return tuple(dedup[start:] + dedup[:start]), den
 
-    start = min(range(n), key=lambda i: dedup[i].as_tuple())
-    return tuple(dedup[start:] + dedup[:start])
+
+def _over_common_denominator(raw):
+    """Rational points as integer pairs over the lcm of their denominators."""
+    pts = [_as_point(p) for p in raw]
+    den = math.lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
+    return [(p.x.numerator * (den // p.x.denominator), p.y.numerator * (den // p.y.denominator))
+            for p in pts], den
 
 
-@dataclass(frozen=True)
 class ConvexPolygon:
     """A convex polygon in canonical form; may be empty.
 
-    Any iterable of points (or coordinate pairs) is accepted and normalized on
-    construction, so two polygons describing the same set compare equal.
-    Non-convex input raises GeometryError; degenerate input becomes empty.
+    `coords` holds the integer vertex pairs and `den` their common
+    denominator.  Any iterable of points (or coordinate pairs of ints and
+    Fractions) is accepted and normalized on construction, so two polygons
+    describing the same set compare equal.  Non-convex input raises
+    GeometryError; degenerate input becomes empty.
     """
 
-    vertices: Tuple[Point2, ...] = ()
+    __slots__ = ("coords", "den")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", _canonical(self.vertices))
+    def __init__(self, vertices: Iterable[PointLike] = ()):
+        coords, den = _canonical(*_over_common_denominator(vertices))
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _from_canonical(cls, coords, den: int) -> "ConvexPolygon":
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coords", coords)
+        object.__setattr__(poly, "den", den)
+        return poly
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConvexPolygon is immutable")
+
+    def __reduce__(self):
+        return ConvexPolygon._from_canonical, (self.coords, self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConvexPolygon):
+            return NotImplemented
+        return self.den == other.den and self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords, self.den))
 
     def __bool__(self) -> bool:
-        return bool(self.vertices)
+        return bool(self.coords)
+
+    def __repr__(self) -> str:
+        return f"ConvexPolygon(coords={self.coords!r}, den={self.den})"
+
+    @property
+    def vertices(self) -> Tuple[Point2, ...]:
+        """The vertices as exact rational points, in canonical order."""
+        den = self.den
+        return tuple(Point2(Fraction(x, den), Fraction(y, den)) for x, y in self.coords)
+
+
+def _polygon(pts, den: int) -> ConvexPolygon:
+    """The canonical polygon of integer points over den."""
+    return ConvexPolygon._from_canonical(*_canonical(pts, den))
 
 
 EMPTY_POLYGON = ConvexPolygon()
@@ -171,67 +229,79 @@ class UnimodularMap:
 
 def polygon_area(p: ConvexPolygon) -> Fraction:
     """Exact area by the shoelace formula; empty and degenerate give 0."""
-    if not p.vertices:
+    if not p.coords:
         return Fraction(0)
-    return _signed_area2(p.vertices) / 2
-
-
-def _bbox(p: ConvexPolygon):
-    xs = [v.x for v in p.vertices]
-    ys = [v.y for v in p.vertices]
-    return min(xs), min(ys), max(xs), max(ys)
+    return Fraction(_area2(p.coords), 2 * p.den * p.den)
 
 
 def _bboxes_cannot_overlap(p: ConvexPolygon, q: ConvexPolygon) -> bool:
-    px0, py0, px1, py1 = _bbox(p)
-    qx0, qy0, qx1, qy1 = _bbox(q)
+    # compare p's coordinates over p.den with q's over q.den, cross-multiplied
+    ps = [(x * q.den, y * q.den) for x, y in p.coords]
+    qs = [(x * p.den, y * p.den) for x, y in q.coords]
+    px0, px1 = min(x for x, _ in ps), max(x for x, _ in ps)
+    py0, py1 = min(y for _, y in ps), max(y for _, y in ps)
+    qx0, qx1 = min(x for x, _ in qs), max(x for x, _ in qs)
+    qy0, qy1 = min(y for _, y in qs), max(y for _, y in qs)
     # touching boxes can only share a degenerate slice, which normalizes empty
     return px1 <= qx0 or qx1 <= px0 or py1 <= qy0 or qy1 <= py0
 
 
-def _split_halfplane_points(pts, a, b, c):
-    """One Sutherland-Hodgman pass: the vertex lists of {a x + b y <= c} and
-    {a x + b y >= c} inside the convex polygon with vertices pts."""
+def _split_halfplane_points(pts, den: int, a: int, b: int, c: int):
+    """One Sutherland-Hodgman pass on integers.
+
+    For the convex polygon with integer vertices pts over den, and integer
+    a, b, c, returns (below, above, den2): the vertex lists of
+    {a x + b y <= c} and {a x + b y >= c} inside it, both over den2.  The cut
+    vertex on an edge p -> q is (f_p q - f_q p) / (den (f_p - f_q)), where
+    f = a X + b Y - c den, so den2 is den times the lcm of the |f_p - f_q|.
+    """
+    cd = c * den
+    f = [a * x + b * y - cd for x, y in pts]
+    n = len(pts)
+    scale = 1
+    for i in range(n):
+        fp, fq = f[i - 1], f[i]
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            scale = math.lcm(scale, abs(fp - fq))
     below = []
     above = []
-    n = len(pts)
     for i in range(n):
         px, py = pts[i]
-        qx, qy = pts[(i + 1) % n]
-        fp = a * px + b * py - c
-        fq = a * qx + b * qy - c
+        fp = f[i]
+        vertex = (px * scale, py * scale)
         if fp <= 0:
-            below.append((px, py))
+            below.append(vertex)
         if fp >= 0:
-            above.append((px, py))
+            above.append(vertex)
+        fq = f[i + 1 - n]
         if (fp < 0 < fq) or (fq < 0 < fp):
-            t = fp / (fp - fq)
-            cut = (px + t * (qx - px), py + t * (qy - py))
+            qx, qy = pts[i + 1 - n]
+            s = scale // (fp - fq)
+            cut = ((fp * qx - fq * px) * s, (fp * qy - fq * py) * s)
             below.append(cut)
             above.append(cut)
-    return below, above
+    return below, above, den * scale
 
 
 def clip_convex(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     """Exact intersection p . q of two convex polygons (possibly empty)."""
-    if not p.vertices or not q.vertices:
+    if not p.coords or not q.coords:
         return EMPTY_POLYGON
     if _bboxes_cannot_overlap(p, q):
         return EMPTY_POLYGON
-    pts = [v.as_tuple() for v in p.vertices]
-    qv = q.vertices
+    pts, den = list(p.coords), p.den
+    qv, e = q.coords, q.den
     n = len(qv)
     for i in range(n):
-        A = qv[i]
-        B = qv[(i + 1) % n]
-        # left of A->B  <=>  (B.y-A.y) x + (A.x-B.x) y <= (B.y-A.y) A.x + (A.x-B.x) A.y
-        a = B.y - A.y
-        b = A.x - B.x
-        c = a * A.x + b * A.y
-        pts = _split_halfplane_points(pts, a, b, c)[0]
+        ax, ay = qv[i]
+        bx, by = qv[(i + 1) % n]
+        # left of A->B, with A = (ax, ay)/e:  (by-ay) x + (ax-bx) y <= ((by-ay) ax + (ax-bx) ay)/e
+        pts, _, den = _split_halfplane_points(
+            pts, den, e * (by - ay), e * (ax - bx), (by - ay) * ax + (ax - bx) * ay
+        )
         if not pts:
             return EMPTY_POLYGON
-    return ConvexPolygon(tuple(pts))
+    return _polygon(pts, den)
 
 
 def half_plane_clip(
@@ -252,32 +322,47 @@ def half_plane_clip(
     c = _coerce(c)
     if a == 0 and b == 0:
         raise GeometryError("half plane normal must be nonzero")
-    if not p.vertices:
+    if not p.coords:
         return EMPTY_POLYGON
-    result = ConvexPolygon(tuple(_split_halfplane_points([v.as_tuple() for v in p.vertices], a, b, c)[0]))
+    scale = math.lcm(a.denominator, b.denominator, c.denominator)
+    a, b, c = int(a * scale), int(b * scale), int(c * scale)
+    below, _, den = _split_halfplane_points(p.coords, p.den, a, b, c)
+    result = _polygon(below, den)
     if closed:
         return result
-    if any(a * v.x + b * v.y < c for v in p.vertices):
+    if any(a * x + b * y < c * p.den for x, y in p.coords):
         return result
     return EMPTY_POLYGON
 
 
 def apply_map(p: ConvexPolygon, m: UnimodularMap, translation: Point2 = ORIGIN) -> ConvexPolygon:
-    """Image of p under the affine map x -> m x + translation; area is preserved."""
-    pts = [
-        (m.a * v.x + m.b * v.y + translation.x, m.c * v.x + m.d * v.y + translation.y)
-        for v in p.vertices
-    ]
-    return ConvexPolygon(tuple(pts))
+    """Image of p under the affine map x -> m x + translation; area is preserved.
+
+    Without a translation the image keeps p's reduced denominator and needs
+    only its start vertex (and, for determinant -1, its order) restored.
+    """
+    if translation != ORIGIN:
+        return ConvexPolygon(
+            (m.a * v.x + m.b * v.y + translation.x, m.c * v.x + m.d * v.y + translation.y)
+            for v in p.vertices
+        )
+    if not p.coords:
+        return EMPTY_POLYGON
+    pts = [(m.a * x + m.b * y, m.c * x + m.d * y) for x, y in p.coords]
+    if m.determinant < 0:
+        pts.reverse()
+    start = min(range(len(pts)), key=pts.__getitem__)
+    return ConvexPolygon._from_canonical(tuple(pts[start:] + pts[:start]), p.den)
 
 
 def contains_point(p: ConvexPolygon, pt: PointLike) -> bool:
     """Exact closed-polygon membership test."""
-    if not p.vertices:
+    if not p.coords:
         return False
     pt = _as_point(pt)
-    n = len(p.vertices)
+    verts = p.vertices
+    n = len(verts)
     for i in range(n):
-        if cross(p.vertices[i], p.vertices[(i + 1) % n], pt) < 0:
+        if cross(verts[i], verts[(i + 1) % n], pt) < 0:
             return False
     return True

@@ -109,6 +109,56 @@ def shoelace2(points):
     return total
 
 
+def fraction_split_halfplane(pts, a, b, c):
+    """One Sutherland-Hodgman pass on Fraction coordinate pairs: the vertex
+    lists of {a x + b y <= c} and {a x + b y >= c} inside the convex polygon
+    with vertices pts, each cut vertex interpolated along its edge."""
+    below = []
+    above = []
+    n = len(pts)
+    for i in range(n):
+        px, py = pts[i]
+        qx, qy = pts[(i + 1) % n]
+        fp = a * px + b * py - c
+        fq = a * qx + b * qy - c
+        if fp <= 0:
+            below.append((px, py))
+        if fp >= 0:
+            above.append((px, py))
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            t = Fraction(fp) / (fp - fq)
+            cut = (px + t * (qx - px), py + t * (qy - py))
+            below.append(cut)
+            above.append(cut)
+    return below, above
+
+
+def fraction_region_parts(pts):
+    """The region sweep of a convex piece of the triangle, on Fraction pairs.
+
+    Cuts the piece along 1 + x = (k+1) y for k upward from its smallest
+    branch index, as `bcz._region_parts` does, but with Fraction arithmetic,
+    hulls for normal forms and the star triangles from their closed form.
+    Returns [(k, hull of the part)] and the 1-tuple of the absorbed star index,
+    or () when the parts cover the piece.
+    """
+    k = min((1 + x) // y for x, y in pts if y)
+    parts = []
+    rest = pts
+    while k < 1024:
+        below, above = fraction_split_halfplane(rest, 1, -(k + 1), -1)
+        part = hull(below)
+        parts.append((k, part if len(part) >= 3 else []))
+        rest = hull(above)
+        if len(rest) < 3:
+            return parts, ()
+        j = k + 1
+        if rest == hull([(Fraction(j - 1, j + 1), Fraction(2, j + 1)), (1, Fraction(2, j)), (1, 0)]):
+            return parts, (j,)
+        k += 1
+    raise AssertionError("region sweep did not terminate")
+
+
 def _pieces(s):
     return s.pieces if isinstance(s, PolygonSet) else (s,)
 

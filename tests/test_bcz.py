@@ -7,6 +7,7 @@ import pytest
 
 from farey_index import (
     FAREY_TRIANGLE,
+    bcz,
     Point2,
     PolygonSet,
     TailCertificateError,
@@ -313,6 +314,48 @@ def test_autocorrelation_constants_pinned_to_eight():
     assert autocorrelation_constant(6) == F(116203372313309, 13095420237900)
     assert autocorrelation_constant(7) == F(9741578165532117673, 1177448519850302700)
     assert autocorrelation_constant(8) == F(6764311305628664274121, 774761126061499176600)
+
+
+def test_autocorrelation_constants_pinned_to_twelve():
+    assert autocorrelation_constant(9) == F(930218852149053265199, 110382633551772732150)
+    assert autocorrelation_constant(10) == F(
+        131816385944150668671940853, 14778336051285278343892020
+    )
+    assert autocorrelation_constant(11) == F(
+        1298186444045794982040088351, 150022502338805098339509900
+    )
+    assert autocorrelation_constant(12) == F(
+        125141783173367727228963623761, 13851389353590761249604012840
+    )
+
+
+def test_autocorrelation_constants_do_not_depend_on_build_order(monkeypatch):
+    # every (m, depth) split is built once whichever order A(1..8) runs in:
+    # star_m is needed to depth 8 for m = 2..34, the rows and the certificate
+    # of A(8); a shallower depth is read off its kept summary
+    compute = autocorrelation_constant.__wrapped__
+    steps = []
+    map_split = bcz._map_split
+
+    def counted(parts, stars):
+        steps.append(len(parts))
+        return map_split(parts, stars)
+
+    monkeypatch.setattr(bcz, "_map_split", counted)
+    values = []
+    for order in (range(1, 9), range(8, 0, -1)):
+        monkeypatch.setattr(bcz, "_star_summaries", {})
+        monkeypatch.setattr(bcz, "_deepest_split", {})
+        steps.clear()
+        values.append({h: compute(h) for h in order})
+        assert len(steps) == 33 * 8
+    assert values[0] == values[1]
+    assert values[0][8] == F(6764311305628664274121, 774761126061499176600)
+    # with the summaries gone, only the depth-8 parts are left: the shallower
+    # depths are split again from star_m
+    monkeypatch.setattr(bcz, "_star_summaries", {})
+    assert compute(3) == values[0][3]
+    assert compute(8) == values[0][8]
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4])

@@ -1,6 +1,7 @@
 """Command-line harness: formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -151,6 +152,10 @@ def test_converge_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
         ("constants", "--h", f"1,{MAX_LAG + 1}"),
         ("converge", "S_h", "--q", "5", "--h", "3000000"),
         ("tables", "--h", str(MAX_LAG + 1), "--M", "2"),
+        ("orbit", "--q", "5", "--x", "1/2"),
+        ("orbit", "--q", "5", "--x", "1/2", "--y", "3/4"),
+        ("orbit", "--x", "1/2"),
+        ("orbit", "--y", "3/4"),
     ],
 )
 def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
@@ -164,6 +169,27 @@ def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert f"{argv[0]}:" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--k", "2", "--star", "3"),
+        ("--square", "--k", "2"),
+        ("--square", "--star", "3"),
+    ],
+)
+def test_visible_region_flags_are_exclusive(capsys, monkeypatch, flags):
+    def no_count(*args):
+        raise AssertionError("counted before validating")
+
+    monkeypatch.setattr(stats, "visible_points_count", no_count)
+    with pytest.raises(SystemExit) as exc:
+        main(["visible", "--scale", "3", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_largest_lag_is_accepted(capsys, monkeypatch):
@@ -327,3 +353,22 @@ def test_visible_output(capsys):
     rows = parse_csv(out)
     assert rows[1][0] == "triangle"
     assert abs(float(rows[1][5]) - 1) < 0.5
+
+
+# sha256 of the stdout of each command, as computed by the Fraction polygon
+# kernel; a change to the kernel must leave every payload byte-identical
+GOLDEN_PAYLOADS = [
+    (("constants", "--h", "1,2,3,4,5,6,7,8", "--alpha", "1,1/3,10/7", "--k", "50"),
+     "4d104dff24d38580d512bcef90d0f7f1d7623bc85db47eef1f03f3583072059b"),
+    (("tables", "--h", "7", "--M", "9"),
+     "b467e031e962f13853db781a093c81f61cef24c479a7542221ac97f5e09ef25c"),
+    (("orbit", "--q", "30"),
+     "6b80d1f9f7099ba183c0de7502ecefc0defe085d62b72402eb5bf986e904e3ef"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_PAYLOADS, ids=("constants", "tables", "orbit"))
+def test_golden_payloads(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

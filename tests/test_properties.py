@@ -1,5 +1,6 @@
 """Property tests: random parameters against the brute-force oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from farey_index import (
     ConvexPolygon,
+    Point2,
     autocorr_sums,
     bcz,
     clip_convex,
@@ -30,7 +32,9 @@ from conftest import (
     brute_indices,
     brute_lu,
     brute_partial,
+    fraction_region_parts,
     hull,
+    shoelace2,
     symmetric_difference_area,
 )
 
@@ -112,7 +116,12 @@ def test_region_sweep_matches_region_clips(piece):
     assume(piece)
     area = polygon_area(piece)
     parts, stars = bcz._region_parts(piece)
-    for k, part in parts:
+    # the integer sweep against the same sweep in Fraction arithmetic
+    ref_parts, ref_stars = fraction_region_parts([v.as_tuple() for v in piece.vertices])
+    assert [(k, [v.as_tuple() for v in part.vertices]) for k, part in parts] == ref_parts
+    assert stars == ref_stars
+    for (k, part), (_, ref) in zip(parts, ref_parts):
+        assert polygon_area(part) == abs(shoelace2(ref)) / 2
         assert part == clip_convex(piece, region_polygon(k))
     for j in stars:
         assert j > parts[-1][0]
@@ -123,3 +132,28 @@ def test_region_sweep_matches_region_clips(piece):
     pushed = push_forward(piece, 1)
     assert pushed.area == polygon_area(piece)
     assert symmetric_difference_area(push_forward(pushed, -1), piece) == 0
+
+
+@st.composite
+def triangle_points(draw):
+    """Rational points of the triangle 0 < x, y <= 1 < x + y, x and y over
+    different denominators."""
+    dx, dy = draw(st.lists(st.integers(1, 60), min_size=2, max_size=2, unique=True))
+    x = Fraction(draw(st.integers(1, dx)), dx)
+    y = Fraction(draw(st.integers(math.floor((1 - x) * dy) + 1, dy)), dy)
+    assume(x.denominator != y.denominator)
+    return x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=triangle_points(), r=st.integers(0, 200))
+def test_integer_orbit_matches_fraction_steps(start, r):
+    point = Point2(*start)
+    state = bcz.orbit(point, r)
+    values, kappas = [point.x, point.y], []
+    for _ in range(r):
+        point, k = bcz.bcz_apply(point)
+        values.append(point.y)
+        kappas.append(k)
+    assert state.L == tuple(values)
+    assert state.kappas == tuple(kappas)
