@@ -234,14 +234,16 @@ def polygon_area(p: ConvexPolygon) -> Fraction:
     return Fraction(_area2(p.coords), 2 * p.den * p.den)
 
 
+def _bbox(p: ConvexPolygon, scale: int):
+    xs = [x * scale for x, _ in p.coords]
+    ys = [y * scale for _, y in p.coords]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
 def _bboxes_cannot_overlap(p: ConvexPolygon, q: ConvexPolygon) -> bool:
-    # compare p's coordinates over p.den with q's over q.den, cross-multiplied
-    ps = [(x * q.den, y * q.den) for x, y in p.coords]
-    qs = [(x * p.den, y * p.den) for x, y in q.coords]
-    px0, px1 = min(x for x, _ in ps), max(x for x, _ in ps)
-    py0, py1 = min(y for _, y in ps), max(y for _, y in ps)
-    qx0, qx1 = min(x for x, _ in qs), max(x for x, _ in qs)
-    qy0, qy1 = min(y for _, y in qs), max(y for _, y in qs)
+    # both boxes over the denominator p.den * q.den
+    px0, py0, px1, py1 = _bbox(p, q.den)
+    qx0, qy0, qx1, qy1 = _bbox(q, p.den)
     # touching boxes can only share a degenerate slice, which normalizes empty
     return px1 <= qx0 or qx1 <= px0 or py1 <= qy0 or qy1 <= py0
 

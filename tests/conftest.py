@@ -5,7 +5,9 @@ sequences come from sorting all reduced fractions, index values from the
 neighbor-sum quotient, convex hulls from a monotone chain over integer points.
 Areas of unions of polygons come from clipping every pair of pieces with the
 public `clip_convex`, never from the region profiles that
-`star_intersection_area` reads.
+`star_intersection_area` reads.  The region sweep is redone in `Fraction`
+arithmetic, with hulls for normal forms, as a reference for the integer
+polygon kernel.
 """
 
 from __future__ import annotations
