@@ -380,6 +380,7 @@ def cmd_orbit(args) -> int:
     for i, value in enumerate(state.L):
         kappa = str(state.kappas[i - 1]) if 1 <= i <= len(state.kappas) else ""
         writer.writerow([i, _rat(value), kappa])
+    del state  # N(Q) Fractions: free them before the payload is joined
     out.finish()
     return 0
 
