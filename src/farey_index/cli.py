@@ -70,7 +70,7 @@ def _positive_int(text: str) -> int:
 
 
 # The largest lag whose A(h) has been measured and certified: A(24) takes
-# about 8 s and 33 MB max RSS on a 2-core host (Python 3.11, in-process, fresh
+# about 7 s and 33 MB max RSS on a 2-core host (Python 3.11, in-process, fresh
 # caches).  The cost of A(h) and of a star-intersection table grows steeply
 # with h, so a larger --h is refused before any work.
 MAX_LAG = 24
