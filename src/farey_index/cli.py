@@ -137,22 +137,33 @@ def cmd_identities(args) -> int:
     if args.q < 1:
         _progress("identities: --q must be >= 1")
         return 2
+    if args.format == "json":
+        _progress("identities: --format json is not supported; the report is plain text")
+        return 2
     out = _Output(args, "identities", {"q_max": args.q})
     failures = []
     for q in range(1, args.q + 1):
+        n = stats.totient_summatory(q)
+        expected = 3 * n - 1
+        # the index sum by two independent routes: the walk and the lattice histogram
         total = stats.sum_index(q)
-        expected = 3 * stats.totient_summatory(q) - 1
         if total != expected:
-            failures.append(f"Q={q}: index sum {total} != {expected}")
+            failures.append((q, f"index sum {total} != {expected}"))
+        hist = stats.index_histogram(q)
+        count, weighted = sum(hist.values()), sum(k * c for k, c in hist.items())
+        if (count, weighted) != (n, expected):
+            failures.append((q, f"lattice histogram has {count} elements and index sum "
+                                f"{weighted}, not {n} and {expected}"))
         lhs, rhs = stats.hall_shiu_identity(q)
         if lhs != rhs:
-            failures.append(f"Q={q}: count identity {lhs} != {rhs}")
+            failures.append((q, f"count identity {lhs} != {rhs}"))
     lhs1, rhs1 = stats.hall_shiu_identity(1)
     out.write(f"# Q=1 boundary: count identity gives {lhs1} == {rhs1} (holds)\n")
-    for line in failures:
-        out.write(line + "\n")
+    for q, message in failures:
+        out.write(f"Q={q}: {message}\n")
+    failed = len({q for q, _ in failures})
     verdict = "PASS" if not failures else "FAIL"
-    out.write(f"identities: {verdict} ({args.q - len(failures)}/{args.q})\n")
+    out.write(f"identities: {verdict} ({args.q - failed}/{args.q})\n")
     out.finish()
     return 0 if not failures else 1
 
@@ -308,7 +319,7 @@ def cmd_converge(args) -> int:
         if args.stat == "S_h":
             records.extend(stats.autocorr_records(q, args.h or [1], ts, workers=workers))
         elif args.stat == "moment":
-            records.extend(stats.moment_records(q, args.alpha or [Fraction(1)], workers=workers))
+            records.extend(stats.moment_records(q, args.alpha or [Fraction(1)]))
         elif args.stat == "LU":
             records.extend(stats.lu_table_records(q, args.k or [1], ts, workers=workers))
         elif args.stat == "partial":
@@ -359,6 +370,9 @@ def cmd_converge(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    if args.format == "json":
+        _progress("orbit: --format json is not supported; the dump is CSV")
+        return 2
     if args.x is not None and args.y is not None and args.q is None:
         start = (args.x, args.y)
         if not (0 < args.x <= 1 and 0 < args.y <= 1 and args.x + args.y > 1):
@@ -409,9 +423,15 @@ def cmd_visible(args) -> int:
     area = polygon_area(region)
     predicted = 6 * float(area) * args.scale**2 / math.pi**2
     ratio = count / predicted if predicted else math.nan
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["region", "scale", "count", "area", "predicted", "ratio"])
-    writer.writerow([label, args.scale, count, _rat(area), _real(predicted), _real(ratio)])
+    header = ["region", "scale", "count", "area", "predicted", "ratio"]
+    row = [label, args.scale, count, _rat(area), _real(predicted), _real(ratio)]
+    if args.format == "json":
+        document = {"rows": [dict(zip(header, row))], "manifest": asdict(out.manifest())}
+        out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    else:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerow(row)
     out.finish()
     return 0
 

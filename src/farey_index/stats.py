@@ -1,23 +1,33 @@
 """Exact large-Q enumeration of Farey index statistics.
 
-Every statistic walks the sequence with the denominator-only integer
-recurrence (one division per element) and is exact: sums and counts are
-Python integers, comparisons against asymptotic predictions happen only at
-report time.  The index-sum and autocorrelation kernels read the stream
-`farey.index_blocks`; the histogram, threshold-count and Hall-Shiu loops
-write the recurrence inline, which is faster for them than reading blocks.
+Every statistic is exact: sums and counts are Python integers, comparisons
+against asymptotic predictions happen only at report time.  There are two
+routes.
 
-Each statistic walks F_Q once per order Q, however many parameters are
-asked for: one walk over (0, max t] gives S_{h,t} for every lag h and cutoff
-t, (L, U) for every k and t, or the partial sums at every t, and the moment
-rows all come from one index histogram.  The walk is split into chunks at
-`workers` equal slices and at every requested t.  Each chunk starts from the
-denominators `seek` finds at its left end and runs for an exact step count,
-the difference of the Farey ranks of its two ends, so no kernel carries
-numerators or compares fractions; a serial run has one chunk per cutoff.
-The value at t is the sum of the chunk results up to t.  Partial results
-merge associatively, so results are identical for every chunk count, which
-is what makes the `workers` parameter a pure throughput knob."""
+The lattice route counts instead of walking.  The consecutive denominators
+(q', q) of F_Q are exactly the coprime pairs with q, q' <= Q < q + q', and
+for fixed q the index nu = floor((Q+q')/q) takes one of the two values
+floor(2Q/q) - 1 and floor(2Q/q) on two ranges of q'.  One Moebius sieve
+counts the coprime q' on each range, so the whole index histogram costs
+O(Q log Q); the power moments and the Hall-Shiu count are read off it.
+Coprime lattice points of a scaled polygon are counted the same way, by
+Moebius inversion over the common divisor and a column count in the
+polygon's integer edge inequalities.
+
+The walk route reads the denominator-only recurrence (one division per
+element) through the stream `farey.index_blocks`.  It serves what is not a
+function of (q', q) alone: the index sum and its partial sums up to a cutoff
+t, the autocorrelations S_{h,t} and the threshold counts (L, U).  Each of
+these walks F_Q once per order Q, however many parameters are asked for:
+one walk over (0, max t] gives S_{h,t} for every lag h and cutoff t, (L, U)
+for every k and t, or the partial sums at every t.  The walk is split into
+chunks at `workers` equal slices and at every requested t.  Each chunk starts
+from the denominators `seek` finds at its left end and runs for an exact
+step count, the difference of the Farey ranks of its two ends, so no kernel
+carries numerators or compares fractions; a serial run has one chunk per
+cutoff.  The value at t is the sum of the chunk results up to t.  Partial
+results merge associatively, so results are identical for every chunk count,
+which is what makes the `workers` parameter a pure throughput knob."""
 
 from __future__ import annotations
 
@@ -78,21 +88,6 @@ def second_moment_prediction(q_max: int) -> float:
 def _chunk_index_sum(task) -> int:
     """Exact sum of the indices of `steps` consecutive elements."""
     return sum(map(sum, index_blocks(*task)))
-
-
-def _chunk_histogram(task) -> dict:
-    """Exact counts {index value: occurrences} over `steps` consecutive elements.
-
-    Counts merge associatively, so any chunking reproduces the same histogram
-    and every statistic derived from it is independent of the worker count.
-    """
-    order, pd, cd, steps = task
-    counts = [0] * (2 * order + 1)  # counts[nu]; nu <= 2Q, attained at gamma = 1
-    for _ in range(steps):
-        k = (order + pd) // cd
-        counts[k] += 1
-        pd, cd = cd, k * cd - pd
-    return {k: c for k, c in enumerate(counts) if c}
 
 
 def _chunk_autocorr(task) -> list:
@@ -222,12 +217,46 @@ def partial_index_sum(q_max: int, t, workers: int = 1) -> int:
     return partial_index_sums(q_max, [t], workers)[0]
 
 
-def index_histogram(q_max: int, t=Fraction(1), workers: int = 1) -> dict:
-    """Exact counts {index value: occurrences} over gamma <= t."""
-    merged = Counter()
-    for part in _run_chunks(_chunk_histogram, q_max, _cutoffs([t]), workers)[0]:
-        merged.update(part)
-    return dict(merged)
+def _index_pair_counts(q_max: int) -> Tuple[list, list]:
+    """Per denominator q, the elements of F_Q over q with index m_q - 1 and with m_q.
+
+    m_q = floor(2Q/q).  The elements of F_Q over q correspond one to one to
+    their predecessor denominators q', which are the q' coprime to q in
+    (Q - q, Q], and each has index floor((Q+q')/q): m_q - 1 for q' in
+    (Q - q, m_q q - Q - 1] and m_q for q' in (m_q q - Q - 1, Q].  The coprime q' in a range (a, b]
+    number sum over d | q of mu(d) (floor(b/d) - floor(a/d)), so adding each
+    squarefree d to its multiples q gives both lists in O(Q log Q).  Returns
+    (low, high), indexed by q (entry 0 unused).
+    """
+    mu = farey._moebius(q_max)
+    low = [0] * (q_max + 1)
+    high = [0] * (q_max + 1)
+    cut = [0] + [(2 * q_max // q) * q - q_max - 1 for q in range(1, q_max + 1)]
+    for d in range(1, q_max + 1):
+        m = mu[d]
+        if m:
+            top = q_max // d
+            # q = j d: floor((Q - q)/d) = top - j, so the low range holds
+            # floor(cut/d) - top + j multiples of d and the high one top - floor(cut/d)
+            for j, q in enumerate(range(d, q_max + 1, d), 1):
+                h = top - cut[q] // d
+                high[q] += m * h
+                low[q] += m * (j - h)
+    return low, high
+
+
+def index_histogram(q_max: int) -> dict:
+    """Exact counts {index value: occurrences} over F_Q, ascending in the index value.
+
+    Read off the lattice counts of `_index_pair_counts`; no walk.
+    """
+    low, high = _index_pair_counts(q_max)
+    counts = Counter()
+    for q in range(1, q_max + 1):
+        m = 2 * q_max // q
+        counts[m - 1] += low[q]
+        counts[m] += high[q]
+    return {k: c for k, c in sorted(counts.items()) if c}
 
 
 def _power_sum(hist: dict, alpha: Fraction) -> Union[int, float]:
@@ -239,18 +268,16 @@ def _power_sum(hist: dict, alpha: Fraction) -> Union[int, float]:
     return sum(c * float(k) ** a for k, c in sorted(hist.items()))
 
 
-def sum_index_power(q_max: int, alpha, workers: int = 1) -> Union[int, float]:
+def sum_index_power(q_max: int, alpha) -> Union[int, float]:
     """Sum of nu^alpha over F_Q: exact integer for integer alpha, float otherwise.
 
     Evaluated from the exact index histogram in a fixed value order, so the
-    result is bit-identical for every worker count.
+    result is bit-identical on every run.
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if alpha == 1:
-        return sum_index(q_max, workers=workers)
-    return _power_sum(index_histogram(q_max, workers=workers), alpha)
+    return _power_sum(index_histogram(q_max), alpha)
 
 
 def autocorr_sums(q_max: int, lags, ts=(1,), workers: int = 1) -> list[list[int]]:
@@ -301,20 +328,14 @@ def hall_shiu_identity(q_max: int) -> Tuple[int, int]:
     """Both sides of the exact closed-form count identity; they must be equal.
 
     lhs counts fractions whose index equals floor(2Q/q) - 1 for their
-    denominator q; rhs is Q(2Q+1) - N(2Q) - 2N(Q) + 1.  The identity holds for
-    every Q >= 1.  With the threshold floor((2Q+1)/q) - 1 instead, the count
-    exceeds the rhs by sum of phi(d) over the divisors d <= Q of 2Q+1 (those
-    denominators admit only the lower index value), so that variant agrees
-    with no similarly clean closed form.
+    denominator q, the sum of the low lattice counts; rhs is
+    Q(2Q+1) - N(2Q) - 2N(Q) + 1.  The identity holds for every Q >= 1.  With
+    the threshold floor((2Q+1)/q) - 1 instead, the count exceeds the rhs by
+    sum of phi(d) over the divisors d <= Q of 2Q+1 (those denominators admit
+    only the lower index value), so that variant agrees with no similarly
+    clean closed form.
     """
-    lhs = 0
-    top = 2 * q_max
-    qp, qc = 1, q_max
-    for _ in range(totient_summatory(q_max)):
-        k = (q_max + qp) // qc
-        if k == top // qc - 1:
-            lhs += 1
-        qp, qc = qc, k * qc - qp
+    lhs = sum(_index_pair_counts(q_max)[0])
     rhs = q_max * (2 * q_max + 1) - totient_summatory(2 * q_max) - 2 * totient_summatory(q_max) + 1
     return lhs, rhs
 
@@ -322,36 +343,46 @@ def hall_shiu_identity(q_max: int) -> Tuple[int, int]:
 def visible_points_count(p: ConvexPolygon, scale: int) -> int:
     """Number of coprime integer pairs inside the closed polygon scale * p.
 
-    Brute force over the bounding box with exact edge tests and gcd filtering.
+    Moebius inversion over the common divisor d of a point gives
+    sum_d mu(d) * #(integer points of (scale/d) * p other than the origin),
+    and d runs up to the largest coordinate of scale * p.  Each edge of
+    scale * p is an integer inequality a x + b y >= c / den, so (u, v) lies in
+    (scale/d) * p iff a u + b v >= ceil(c / (den d)) on every edge; the points
+    are counted column by column, in integers only, in O(scale log scale).
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    if not p.vertices:
+    if not p:
         return 0
-    verts = [(v.x * scale, v.y * scale) for v in p.vertices]
-    n = len(verts)
+    coords, den = p.coords, p.den
     edges = []
-    for i in range(n):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % n]
-        # inside <=> (bx-ax)(y-ay) - (by-ay)(x-ax) >= 0, cleared of denominators
-        a = -(by - ay)
-        b = bx - ax
-        c = a * ax + b * ay
-        den = math.lcm(a.denominator, b.denominator, c.denominator)
-        edges.append((int(a * den), int(b * den), int(c * den)))
-    x_lo = math.ceil(min(v[0] for v in verts))
-    x_hi = math.floor(max(v[0] for v in verts))
-    y_lo = math.ceil(min(v[1] for v in verts))
-    y_hi = math.floor(max(v[1] for v in verts))
-    count = 0
-    for x in range(x_lo, x_hi + 1):
-        for y in range(y_lo, y_hi + 1):
-            if math.gcd(x, y) != 1:
-                continue
-            if all(a * x + b * y >= c for a, b, c in edges):
-                count += 1
-    return count
+    for (ax, ay), (bx, by) in zip(coords, coords[1:] + coords[:1]):
+        a, b = ay - by, bx - ax  # counterclockwise: inside is a x + b y >= a ax + b ay
+        edges.append((a, b, (a * ax + b * ay) * scale))
+    origin = all(c <= 0 for _, _, c in edges)
+    # edges bounding v from below (b > 0) and from above (b < 0); a vertical
+    # edge only bounds the columns, which the vertices bound too
+    lower = [edge for edge in edges if edge[1] > 0]
+    upper = [edge for edge in edges if edge[1] < 0]
+    x_lo = min(x for x, _ in coords) * scale
+    x_hi = max(x for x, _ in coords) * scale
+    reach = max(max(abs(x), abs(y)) for x, y in coords) * scale // den
+    mu = farey._moebius(reach)
+    total = 0
+    for d in range(1, reach + 1):
+        if not mu[d]:
+            continue
+        dd = den * d
+        below = [(a, b, -(-c // dd)) for a, b, c in lower]
+        above = [(a, b, -(-c // dd)) for a, b, c in upper]
+        count = -1 if origin else 0  # the origin is not a coprime pair
+        for u in range(-(-x_lo // dd), x_hi // dd + 1):
+            v_lo = max(-((a * u - c) // b) for a, b, c in below)
+            v_hi = min((c - a * u) // b for a, b, c in above)
+            if v_hi >= v_lo:
+                count += v_hi - v_lo + 1
+        total += mu[d] * count
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -398,22 +429,19 @@ def autocorr_records(q_max: int, lags, ts=(1,), workers: int = 1) -> list[StatRe
     return records
 
 
-def moment_records(q_max: int, alphas, workers: int = 1) -> list[StatRecord]:
+def moment_records(q_max: int, alphas) -> list[StatRecord]:
     """One moment row per alpha, in order; alpha = 2 against the second-moment term.
 
-    F_Q is walked once: every alpha, alpha = 1 included, is read off one
-    index histogram, and alpha = 1 alone takes the cheaper index-sum walk.
+    Every alpha, alpha = 1 included, is read off one lattice index histogram;
+    F_Q is not walked.
     """
     alphas = [Fraction(a) for a in alphas]
     if any(alpha <= 0 for alpha in alphas):
         raise ValueError("alpha must be positive")
     if q_max < 2 and 2 in alphas:
         raise ValueError("need Q >= 2")
-    if any(alpha != 1 for alpha in alphas):
-        hist = index_histogram(q_max, workers=workers)
-        exact = {alpha: _power_sum(hist, alpha) for alpha in alphas}
-    else:
-        exact = {alpha: sum_index(q_max, workers=workers) for alpha in set(alphas)}
+    hist = index_histogram(q_max)
+    exact = {alpha: _power_sum(hist, alpha) for alpha in alphas}
     n = totient_summatory(q_max)
     records = []
     for alpha in alphas:

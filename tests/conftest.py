@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the package internals: Farey
 sequences come from sorting all reduced fractions, index values from the
-neighbor-sum quotient, convex hulls from a monotone chain over integer points.
+neighbor-sum quotient, coprime lattice points from a scan of the bounding
+box, convex hulls from a monotone chain over integer points.
 Areas of unions of polygons come from clipping every pair of pieces with the
 public `clip_convex`, never from the region profiles that
 `star_intersection_area` reads.  The region sweep is redone in `Fraction`
@@ -77,6 +78,40 @@ def brute_partial(q_max, ts):
     """Sums of the indices over gamma <= t, one per t."""
     fr, _, nus = brute_indices(q_max)
     return [sum(nu for f, nu in zip(fr, nus) if f <= t) for t in ts]
+
+
+def brute_visible_count(p, scale):
+    """Coprime integer pairs inside the closed polygon scale * p, by scanning its bounding box.
+
+    Every integer point of the box is tested against each edge, cleared of
+    denominators, and kept if its coordinates are coprime.  O(scale^2).
+    """
+    if not p.vertices:
+        return 0
+    verts = [(v.x * scale, v.y * scale) for v in p.vertices]
+    n = len(verts)
+    edges = []
+    for i in range(n):
+        ax, ay = verts[i]
+        bx, by = verts[(i + 1) % n]
+        # inside <=> (bx-ax)(y-ay) - (by-ay)(x-ax) >= 0, cleared of denominators
+        a = -(by - ay)
+        b = bx - ax
+        c = a * ax + b * ay
+        den = math.lcm(a.denominator, b.denominator, c.denominator)
+        edges.append((int(a * den), int(b * den), int(c * den)))
+    x_lo = math.ceil(min(v[0] for v in verts))
+    x_hi = math.floor(max(v[0] for v in verts))
+    y_lo = math.ceil(min(v[1] for v in verts))
+    y_hi = math.floor(max(v[1] for v in verts))
+    count = 0
+    for x in range(x_lo, x_hi + 1):
+        for y in range(y_lo, y_hi + 1):
+            if math.gcd(x, y) != 1:
+                continue
+            if all(a * x + b * y >= c for a, b, c in edges):
+                count += 1
+    return count
 
 
 def cross2(o, a, b):

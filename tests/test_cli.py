@@ -246,11 +246,12 @@ def test_workers_default_from_environment(tmp_path, capsys, monkeypatch):
         (("S_h", "--h", "3,1,2", "--t", "1/2,1,1/3"), "_chunk_autocorr"),
         (("LU", "--k", "2,1,4", "--t", "2/3,1/4"), "_chunk_lu"),
         (("partial", "--t", "1/2,0,1"), "_chunk_index_sum"),
-        (("moment", "--alpha", "1,2,1/2"), "_chunk_histogram"),
-        (("moment", "--alpha", "1"), "_chunk_index_sum"),
+        (("moment", "--alpha", "1,2,1/2"), None),
+        (("moment", "--alpha", "1"), None),
     ],
 )
 def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
+    # moments are read off the lattice histogram and never walk
     walks = []
     run_chunks = stats._run_chunks
 
@@ -263,7 +264,7 @@ def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
     code, out, _ = run_cli(capsys, "converge", argv[0], "--q-list", "30,40", *argv[1:],
                            "--workers", "3")
     assert code == 0
-    assert walks == [(kernel, 30), (kernel, 40)]
+    assert walks == ([(kernel, 30), (kernel, 40)] if kernel else [])
 
 
 def test_converge_partial_accepts_t_zero(capsys):
@@ -343,6 +344,34 @@ def test_orbit_dump(capsys):
     assert [r[1] for r in rows[1:]] == ["1", "1", "1", "1", "1"]
 
 
+@pytest.mark.parametrize("argv", [("identities", "--q", "5"), ("orbit", "--q", "5")])
+def test_json_format_is_a_usage_error_where_unsupported(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before validating")
+
+    for module, name in ((stats, "sum_index"), (stats, "index_histogram"),
+                         (stats, "hall_shiu_identity"), (bcz, "orbit")):
+        monkeypatch.setattr(module, name, no_work)
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert f"{argv[0]}: --format json is not supported" in err
+
+
+def test_visible_json_payload(capsys):
+    code, out, _ = run_cli(capsys, "visible", "--scale", "10", "--square", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    [row] = doc["rows"]
+    assert row["region"] == "unit_square" and row["scale"] == 10 and row["count"] == 65
+    assert row["area"] == "1"
+    assert doc["manifest"]["command"] == "visible"
+    assert doc["manifest"]["parameters"] == {"region": "unit_square", "scale": 10}
+    _, csv_out, _ = run_cli(capsys, "visible", "--scale", "10", "--square")
+    header, values = parse_csv(csv_out)
+    assert [str(row[key]) for key in header] == values
+
+
 def test_visible_output(capsys):
     code, out, _ = run_cli(capsys, "visible", "--scale", "10", "--square")
     assert code == 0
@@ -356,7 +385,8 @@ def test_visible_output(capsys):
 
 
 # sha256 of the stdout of each command, as computed by the Fraction polygon
-# kernel; a change to the kernel must leave every payload byte-identical
+# kernel (geometry) and by the walks and the bounding-box scan (enumeration);
+# a change of route must leave every payload byte-identical
 GOLDEN_PAYLOADS = [
     (("constants", "--h", "1,2,3,4,5,6,7,8", "--alpha", "1,1/3,10/7", "--k", "50"),
      "4d104dff24d38580d512bcef90d0f7f1d7623bc85db47eef1f03f3583072059b"),
@@ -364,10 +394,27 @@ GOLDEN_PAYLOADS = [
      "b467e031e962f13853db781a093c81f61cef24c479a7542221ac97f5e09ef25c"),
     (("orbit", "--q", "30"),
      "6b80d1f9f7099ba183c0de7502ecefc0defe085d62b72402eb5bf986e904e3ef"),
+    (("converge", "moment", "--q-list", "2,300,3005", "--alpha", "1,2,11/12,1/2"),
+     "acb22c440a5f50a708579dd6a4be0d0693c307122a601b2564ce12c64a3929d3"),
+    (("identities", "--q", "60"),
+     "11af5d550a24b9aabf08fabb7c1d6d8cbb0486627c81ff8c5de88478ff7361a7"),
+    (("visible", "--scale", "595"),
+     "fc7afa04641e3e91362b0853b81f164be51818951d3fb228e56cb9665060f9be"),
+    (("visible", "--scale", "100", "--k", "2"),
+     "b2490457cd6b2b87cd74dcd5bfbb534de9508dc734958f107b13a53844b4f45f"),
+    (("visible", "--scale", "100", "--star", "3"),
+     "2f4226e5292a472fa7b166e98a299d5707d145b74855b2988dd655961336f8d9"),
+    (("visible", "--scale", "100", "--square"),
+     "d88213e508f2801e48d61407f93e28a167e785bfa2d6bc3002506f5dab00c959"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_PAYLOADS, ids=("constants", "tables", "orbit"))
+@pytest.mark.parametrize(
+    "argv, digest",
+    GOLDEN_PAYLOADS,
+    ids=("constants", "tables", "orbit", "moment", "identities", "visible", "visible-k2",
+         "visible-star3", "visible-square"),
+)
 def test_golden_payloads(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

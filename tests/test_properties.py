@@ -1,6 +1,7 @@
 """Property tests: random parameters against the brute-force oracles."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from conftest import (
     brute_indices,
     brute_lu,
     brute_partial,
+    brute_visible_count,
     fraction_region_parts,
     hull,
     shoelace2,
@@ -157,3 +159,41 @@ def test_integer_orbit_matches_fraction_steps(start, r):
         kappas.append(k)
     assert state.L == tuple(values)
     assert state.kappas == tuple(kappas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 300))
+def test_lattice_histogram_matches_the_walk(q):
+    assert stats.index_histogram(q) == dict(Counter(farey.index_sequence(q)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(q=st.integers(1, 40))
+def test_lattice_counts_match_brute_force(q):
+    _, dens, nus = brute_indices(q)
+    assert stats.index_histogram(q) == dict(Counter(nus))
+    lhs, _ = stats.hall_shiu_identity(q)
+    assert lhs == sum(1 for nu, d in zip(nus, dens) if nu == (2 * q) // d - 1)
+
+
+@st.composite
+def rational_polygons(draw):
+    """Rational convex polygons in [-2, 2]^2: hulls of a few points over one
+    denominator, some with a small triangle around the origin added."""
+    den = draw(st.integers(1, 12))
+    coordinate = st.integers(-2 * den, 2 * den)
+    points = [
+        (Fraction(draw(coordinate), den), Fraction(draw(coordinate), den))
+        for _ in range(draw(st.integers(3, 6)))
+    ]
+    if draw(st.booleans()):
+        e = Fraction(1, den)
+        points += [(-e, -e), (e, -e), (0, e)]
+    return ConvexPolygon(tuple(hull(points)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(poly=rational_polygons(), scale=st.integers(1, 40))
+def test_visible_lattice_count_matches_brute_scan(poly, scale):
+    assume(poly)
+    assert stats.visible_points_count(poly, scale) == brute_visible_count(poly, scale)

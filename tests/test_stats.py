@@ -22,6 +22,7 @@ from farey_index import (
     partial_records,
     polygon_area,
     region_polygon,
+    region_star_polygon,
     sum_index,
     sum_index_power,
     totient_summatory,
@@ -35,7 +36,14 @@ from farey_index.stats import (
     zeta_prime_over_zeta_two,
 )
 
-from conftest import brute_autocorr, brute_farey, brute_indices, brute_lu, brute_partial
+from conftest import (
+    brute_autocorr,
+    brute_farey,
+    brute_indices,
+    brute_lu,
+    brute_partial,
+    brute_visible_count,
+)
 
 F = Fraction
 
@@ -57,6 +65,9 @@ def test_sum_index_power_examples():
         _, _, nus = brute_indices(q)
         want = sum(nu**0.5 for nu in sorted(nus))
         assert math.isclose(sum_index_power(q, F(1, 2)), want, rel_tol=1e-12)
+    # and against the walk at a larger order
+    walked = sorted(farey.index_sequence(400))
+    assert math.isclose(sum_index_power(400, F(1, 2)), sum(nu**0.5 for nu in walked), rel_tol=1e-12)
 
 
 def test_index_histogram_matches_oracle():
@@ -163,7 +174,6 @@ def test_workers_reproduce_single_threaded_results():
         assert autocorr_sum_interval(400, 2, F(2, 3), workers=workers) == autocorr_sum_interval(
             400, 2, F(2, 3)
         )
-        assert sum_index_power(400, F(1, 2), workers=workers) == sum_index_power(400, F(1, 2))
         assert lu_counts(400, 2, workers=workers) == lu_counts(400, 2)
         assert partial_index_sum(400, F(1, 2), workers=workers) == partial_index_sum(400, F(1, 2))
 
@@ -179,18 +189,16 @@ def test_every_statistic_is_chunk_count_invariant(workers, monkeypatch):
         n = len(nus)
         top = 2 * q + 1
         assert sum_index(q, workers=workers) == sum(nus)
-        assert sum_index_power(q, 2, workers=workers) == sum(nu * nu for nu in nus)
-        assert sum_index_power(q, F(1, 2), workers=workers) == sum_index_power(q, F(1, 2))
+        # the moments take no walk, so no worker count; their oracle stays
+        assert sum_index_power(q, 2) == sum(nu * nu for nu in nus)
+        assert math.isclose(sum_index_power(q, F(1, 2)), sum(nu**0.5 for nu in sorted(nus)),
+                            rel_tol=1e-12)
         assert autocorr_sum(q, 2, workers=workers) == sum(
             nus[i] * nus[(i + 2) % n] for i in range(n)
         )
         for t in (F(1, 3), F(1, 2), F(2, 3), F(1)):
             inside = [i for i in range(n) if fr[i] <= t]
             assert partial_index_sum(q, t, workers=workers) == sum(nus[i] for i in inside)
-            hist = {}
-            for i in inside:
-                hist[nus[i]] = hist.get(nus[i], 0) + 1
-            assert index_histogram(q, t, workers=workers) == hist
             assert autocorr_sum_interval(q, 1, t, workers=workers) == sum(
                 nus[i] * nus[(i + 1) % n] for i in inside
             )
@@ -285,19 +293,27 @@ def test_pool_failure_warns_and_runs_serially(monkeypatch):
 
 
 def test_moment_records_walk_one_histogram(monkeypatch):
-    calls = []
-    walk = stats._run_chunks
+    histograms = []
+    lattice = stats.index_histogram
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return walk(*args, **kwargs)
+    def no_walk(*args, **kwargs):
+        raise AssertionError("moments walked F_Q")
 
-    monkeypatch.setattr(stats, "_run_chunks", counted)
+    def counted(q_max):
+        histograms.append(q_max)
+        return lattice(q_max)
+
+    monkeypatch.setattr(stats, "_run_chunks", no_walk)
+    monkeypatch.setattr(stats, "index_histogram", counted)
     alphas = [1, 2, F(1, 2), F(3, 2)]
     records = moment_records(200, alphas)
-    assert calls == [stats._chunk_histogram]  # alpha = 1 is read off it too
-    # each reference value walks F_Q again, once per alpha
-    assert [rec.exact_value for rec in records] == [sum_index_power(200, a) for a in alphas]
+    assert histograms == [200]  # one lattice histogram; alpha = 1 is read off it too
+    monkeypatch.undo()
+    # reference values from the walk: the index sequence, summed in ascending order
+    walked = sorted(farey.index_sequence(200))
+    assert [rec.exact_value for rec in records[:2]] == [sum(walked), sum(nu * nu for nu in walked)]
+    for rec, a in zip(records[2:], (0.5, 1.5)):
+        assert math.isclose(rec.exact_value, sum(nu**a for nu in walked), rel_tol=1e-12)
     n = totient_summatory(200)
     assert [rec.prediction for rec in records] == [
         2 * n * bcz.b_alpha(1).value,
@@ -339,6 +355,10 @@ def test_visible_points_counts():
                         break
                 count += inside
         assert visible_points_count(poly, scale) == count
+
+    for poly in (FAREY_TRIANGLE, square, region_polygon(2), region_star_polygon(3)):
+        for scale in (1, 2, 37, 120):
+            assert visible_points_count(poly, scale) == brute_visible_count(poly, scale)
 
 
 def test_visible_points_farey_bijection():
