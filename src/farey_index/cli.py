@@ -269,8 +269,15 @@ def cmd_tables(args) -> int:
     return 0
 
 
+# The parameters each converge statistic reads; any other is refused, not ignored.
+_CONVERGE_PARAMETERS = {"S_h": ("h", "t"), "moment": ("alpha",), "LU": ("k", "t"), "partial": ("t",)}
+
+
 def _converge_usage_problem(args, q_list: list[int]) -> Optional[str]:
     """What is out of domain in the converge arguments, or None."""
+    for name in ("h", "alpha", "k", "t"):
+        if getattr(args, name) is not None and name not in _CONVERGE_PARAMETERS[args.stat]:
+            return f"--{name} does not apply to {args.stat}"
     if q_list[0] < 1:
         return "every order in --q-list must be >= 1"
     if any(not 1 <= h <= MAX_LAG for h in args.h or []):
@@ -322,11 +329,8 @@ def cmd_converge(args) -> int:
             records.extend(stats.moment_records(q, args.alpha or [Fraction(1)]))
         elif args.stat == "LU":
             records.extend(stats.lu_table_records(q, args.k or [1], ts, workers=workers))
-        elif args.stat == "partial":
-            records.extend(stats.partial_records(q, ts, workers=workers))
         else:
-            _progress(f"converge: unknown stat {args.stat}")
-            return 2
+            records.extend(stats.partial_records(q, ts, workers=workers))
 
     rows = []
     for rec in records:

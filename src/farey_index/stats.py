@@ -18,16 +18,22 @@ The walk route reads the denominator-only recurrence (one division per
 element) through the stream `farey.index_blocks`.  It serves what is not a
 function of (q', q) alone: the index sum and its partial sums up to a cutoff
 t, the autocorrelations S_{h,t} and the threshold counts (L, U).  Each of
-these walks F_Q once per order Q, however many parameters are asked for:
-one walk over (0, max t] gives S_{h,t} for every lag h and cutoff t, (L, U)
-for every k and t, or the partial sums at every t.  The walk is split into
-chunks at `workers` equal slices and at every requested t.  Each chunk starts
-from the denominators `seek` finds at its left end and runs for an exact
-step count, the difference of the Farey ranks of its two ends, so no kernel
-carries numerators or compares fractions; a serial run has one chunk per
-cutoff.  The value at t is the sum of the chunk results up to t.  Partial
-results merge associatively, so results are identical for every chunk count,
-which is what makes the `workers` parameter a pure throughput knob."""
+these walks F_Q once per order Q, however many parameters are asked for, and
+walks at most half of it: the mirror gamma -> 1 - gamma keeps denominators
+and indices (nu_{N-i} = nu_i), so a cutoff t > 1/2, t = 1 included, is
+assembled exactly from the sums up to 1/2 and up to 1 - t.  One walk over
+(0, T], T = min(max t, 1/2), plus the lookahead max(h) of the lags, gives
+S_{h,t} for every lag h and cutoff t, (L, U) for every k and t, or the
+partial sums at every t; the mirror corrections read the index at a cut, or
+the few indices within max(h) + 1 of it.  The walk is split into chunks at
+`workers` equal slices of (0, T] and at every min(t, 1 - t).  Each chunk
+starts from the denominators `seek` finds at its left end and runs for an
+exact step count, the difference of the Farey ranks of its two ends, so no
+kernel carries numerators or compares fractions; a serial run has one chunk
+per cut.  The value at a cut is the sum of the chunk results up to it.
+Partial results merge associatively, so results are identical for every
+chunk count, which is what makes the `workers` parameter a pure throughput
+knob."""
 
 from __future__ import annotations
 
@@ -48,6 +54,8 @@ from .farey import farey_ranks, index_blocks, seek, totient_summatory
 from .geometry import ConvexPolygon
 
 Number = Union[int, float, Fraction]
+
+_HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +93,13 @@ def second_moment_prediction(q_max: int) -> float:
 # chunked walking machinery
 # ---------------------------------------------------------------------------
 
-def _chunk_index_sum(task) -> int:
-    """Exact sum of the indices of `steps` consecutive elements."""
-    return sum(map(sum, index_blocks(*task)))
+def _chunk_index_sum(task) -> list:
+    """[exact sum of the indices of `steps` consecutive elements]."""
+    return [sum(map(sum, index_blocks(*task)))]
 
 
 def _chunk_autocorr(task) -> list:
-    """Sums of nu_i * nu_{i+h} over `steps` consecutive elements gamma_i, one per lag h.
+    """Sums of nu_i * nu_{i+h} over `steps` consecutive elements gamma_i, one per lag h >= 0.
 
     The walk runs max(h) elements past the chunk, and each block of indices
     is read together with the last max(h) indices before it, so every lag up
@@ -147,19 +155,24 @@ def _chunk_lu(task) -> list:
     return [count for k in ks for count in (low[k], high[k])]
 
 
-def _run_chunks(kernel, q_max: int, ts, workers: int, *params) -> list:
-    """For each t in `ts`, the results of `kernel` on the chunks that tile (0, t], in order.
+def _run_chunks(kernel, q_max: int, ts, workers: int, *params) -> dict:
+    """{c: elementwise sums of `kernel` over the chunks that tile (0, c]} for each walk cut c.
 
-    (0, max(ts)] is cut into `workers` equal slices and again at every t, so
-    one walk serves every cutoff.  Each chunk starts from the denominators
-    `seek` finds at its left end and runs for the exact step count
-    rank(t1) - rank(t0), so no kernel needs a fraction.  The pool never has
-    more processes than the host has CPUs; the chunks, and so every merged
-    result, do not depend on it.
+    A cutoff t above 1/2 is assembled from its mirror 1 - t, so the walk
+    covers (0, T] only: T = 1/2 if some t exceeds 1/2, and max(ts) otherwise.
+    It is cut at min(t, 1 - t) for each t < 1, at 1/2 if some t exceeds 1/2,
+    and at `workers` equal slices of (0, T], so one walk serves every cutoff.
+    Each chunk starts from the denominators `seek` finds at its left end and
+    runs for the exact step count rank(t1) - rank(t0), so no kernel needs a
+    fraction.  The pool never has more processes than the host has CPUs; the
+    chunks, and so every merged result, do not depend on it.
     """
+    wanted = {min(t, 1 - t) for t in ts if t < 1}
+    if max(ts) > _HALF:
+        wanted.add(_HALF)
     w = max(1, int(workers))
-    t_end = max(ts)
-    cuts = sorted({t_end * j / w for j in range(w + 1)}.union(ts))
+    t_end = max(wanted)
+    cuts = sorted({t_end * j / w for j in range(w + 1)}.union(wanted))
     ranks = farey_ranks(q_max, cuts)
     tasks = []
     for t0, r0, r1 in zip(cuts, ranks, ranks[1:]):
@@ -179,12 +192,61 @@ def _run_chunks(kernel, q_max: int, ts, workers: int, *params) -> list:
             )
     if results is None:
         results = [kernel(task) for task in tasks]
-    return [results[:cuts.index(t)] for t in ts]
+    return {c: [sum(column) for column in zip(*results[:cuts.index(c)])] for c in wanted}
 
 
-def _column_sums(parts: list) -> list:
-    """Elementwise sums of equal-length chunk results."""
-    return [sum(column) for column in zip(*parts)]
+def _walk_sums(kernel, q_max: int, ts, workers: int, *params) -> list:
+    """For each t in `ts`, the elementwise sums of `kernel` over the elements of (0, t].
+
+    For kernels that add up a function f(q, nu) of each element.  The mirror
+    gamma -> 1 - gamma of F_Q keeps the denominator q and the index nu, so
+    only (0, 1/2] is walked.  With P(c) the sums over (0, c] and f(c) the
+    term of c (zero unless c is in F_Q), every element below 1 other than
+    1/2 pairs with its mirror image, and
+        P(1) = f(1) + 2 P(1/2) - f(1/2),
+        P(t) = P(1) - f(1) - P(1 - t) + f(1 - t)    for 1/2 < t < 1.
+    """
+    walked = _run_chunks(kernel, q_max, ts, workers, *params)
+    if max(ts) <= _HALF:
+        return [walked[t] for t in ts]
+    half = walked[_HALF]
+
+    def term(c):
+        """f(c), the kernel on the one-element chunk {c}.
+
+        The index of c is floor((Q + q')/q) for either neighbor denominator
+        q', so the successor's, which `seek` gives, serves as well.
+        """
+        if c.denominator > q_max:
+            return [0] * len(half)
+        _, q, _, q_next = seek(q_max, c)
+        return kernel((q_max, *params, q_next, q, 1))
+
+    below_one = [2 * p - f for p, f in zip(half, term(_HALF))]  # P(1) - f(1)
+    one = kernel((q_max, *params, q_max, 1, 1))  # f(1): 1/1 has neighbors over Q
+    sums = []
+    for t in ts:
+        if t <= _HALF:
+            sums.append(walked[t])
+        elif t == 1:
+            sums.append([p + f for p, f in zip(below_one, one)])
+        else:
+            sums.append([p - r + f for p, r, f in zip(below_one, walked[1 - t], term(1 - t))])
+    return sums
+
+
+def _indices_around(q_max: int, t, before: int, after: int) -> list:
+    """The indices at positions R - before + 1, ..., R + after, where R = rank(t).
+
+    Position R holds the last element <= t.  The elements after it are
+    walked forward from the denominators `seek` finds at t, and those up to
+    it backward: the recurrence is symmetric, so read from the swapped pair
+    it yields nu_R, nu_{R-1}, ..., and past position 0 it runs on into the
+    previous period.
+    """
+    _, q, _, q_next = seek(q_max, t)
+    back = list(chain.from_iterable(index_blocks(q_max, q_next, q, before)))
+    return back[::-1] + list(chain.from_iterable(index_blocks(q_max, q, q_next, after)))
 
 
 def _cutoffs(ts, allow_zero: bool = False) -> list:
@@ -202,9 +264,9 @@ def _cutoffs(ts, allow_zero: bool = False) -> list:
 # ---------------------------------------------------------------------------
 
 def partial_index_sums(q_max: int, ts, workers: int = 1) -> list[int]:
-    """Exact sums of indices over gamma <= t, one per t in `ts`, from one walk."""
+    """Exact sums of indices over gamma <= t, one per t in `ts`, from one walk of (0, 1/2]."""
     ts = _cutoffs(ts, allow_zero=True)
-    return [sum(parts) for parts in _run_chunks(_chunk_index_sum, q_max, ts, workers)]
+    return [sum(column) for column in _walk_sums(_chunk_index_sum, q_max, ts, workers)]
 
 
 def sum_index(q_max: int, workers: int = 1) -> int:
@@ -217,6 +279,7 @@ def partial_index_sum(q_max: int, t, workers: int = 1) -> int:
     return partial_index_sums(q_max, [t], workers)[0]
 
 
+@lru_cache(maxsize=1)  # `identities` reads the histogram and the count identity per order
 def _index_pair_counts(q_max: int) -> Tuple[list, list]:
     """Per denominator q, the elements of F_Q over q with index m_q - 1 and with m_q.
 
@@ -226,7 +289,8 @@ def _index_pair_counts(q_max: int) -> Tuple[list, list]:
     (Q - q, m_q q - Q - 1] and m_q for q' in (m_q q - Q - 1, Q].  The coprime q' in a range (a, b]
     number sum over d | q of mu(d) (floor(b/d) - floor(a/d)), so adding each
     squarefree d to its multiples q gives both lists in O(Q log Q).  Returns
-    (low, high), indexed by q (entry 0 unused).
+    (low, high), indexed by q (entry 0 unused); the lists are shared by the
+    callers of the cached order, which only read them.
     """
     mu = farey._moebius(q_max)
     low = [0] * (q_max + 1)
@@ -285,17 +349,73 @@ def autocorr_sums(q_max: int, lags, ts=(1,), workers: int = 1) -> list[list[int]
 
     S_{h,t} sums nu_i * nu_{i+h} over gamma_i <= t, with indices cyclic mod
     N(Q), so t = 1 gives the full-period S_h(Q).  The index sequence has
-    period N(Q), so every lag is reduced mod N(Q) before the one walk.
+    period N = N(Q), so every lag is reduced mod N first (lag 0 sums the
+    squares).  One walk covers (0, min(t, 1/2)] with the lookahead each lag
+    needs; a cutoff above 1/2 is assembled from it by the mirror identities
+    of `_mirror_autocorr`.
     """
     if any(h < 1 for h in lags):
         raise ValueError("h must be >= 1")
     ts = _cutoffs(ts)
     n = totient_summatory(q_max)
-    reduced = [h % n or n for h in lags]
-    distinct = tuple(sorted(set(reduced)))
-    at_t = [_column_sums(parts) for parts in _run_chunks(_chunk_autocorr, q_max, ts, workers, distinct)]
+    reduced = [h % n for h in lags]
+    mirrored = [min(g, n - g) for g in reduced]
+    walk_lags = set(mirrored) if max(ts) > _HALF else set()
+    if min(ts) <= _HALF:
+        walk_lags.update(reduced)
+    distinct = tuple(sorted(walk_lags))
+    walked = _run_chunks(_chunk_autocorr, q_max, ts, workers, distinct)
     column = {h: i for i, h in enumerate(distinct)}
-    return [[sums[column[h]] for sums in at_t] for h in reduced]
+    walked = {c: {h: sums[column[h]] for h in distinct} for c, sums in walked.items()}
+    above = _mirror_autocorr(q_max, n, walked, ts, max(mirrored)) if max(ts) > _HALF else None
+    return [
+        [walked[t][g] if t <= _HALF else above(g, s, t) for t in ts]
+        for g, s in zip(reduced, mirrored)
+    ]
+
+
+def _mirror_autocorr(q_max: int, n: int, walked: dict, ts, span: int):
+    """S_{h,t} for t > 1/2 from the walk over (0, 1/2], as a function of (g, s, t).
+
+    g = h mod N and s = min(g, N - g) <= N/2.  The index sequence is even,
+    nu_{N-i} = nu_i with nu_0 = nu_N = 2Q, so S_g = S_s, and the products
+    nu_i nu_{i+s} are symmetric under i -> N - s - i.  With P_s(r) the sum
+    of nu_i nu_{i+s} over 1 <= i <= r and m = floor((N-s-1)/2),
+        S_s = 2 P_s(m) + [N-s even] nu_{(N-s)/2} nu_{(N+s)/2} + sum_{j<=s} nu_j nu_{s-j}
+            = P_s(m) + P_s(floor((N-s)/2)) + sum_{j<=s} nu_j nu_{s-j}.
+    For 1/2 < t < 1, with r = rank(1 - t) and e = [1 - t in F_Q], the
+    elements above t are the mirror images of those in [0, 1 - t), so
+        S_{g,t} = S_s - sum_{j<=s} nu_j nu_{s-j} - P_s(r - e - s)   if g = s,
+        S_{g,t} = S_s - 2Q nu_s - P_s(r - e)                        if g = N - s.
+    (P_s(r) for r < 0 is minus the sum over r < i <= 0.)  Each P_s at a
+    position near a cut c is P_s(c) less the products of the last few
+    elements up to c, read off the 2 `span` + 1 indices around c, span =
+    max s; only the lag s, never g > N/2, is walked past 1/2.
+    """
+    half = n // 2  # rank(1/2)
+    head = _indices_around(q_max, Fraction(0), 1, span)  # nu_0, ..., nu_span
+    windows = {c: _indices_around(q_max, c, span + 1, span)
+               for c in {_HALF}.union(1 - t for t in ts if _HALF < t < 1)}
+
+    def last(c, h, e):
+        """The sum of nu_i nu_{i+h} over the last e positions i up to the cut c."""
+        w = windows[c]
+        return sum(map(mul, w[span + 1 - e:span + 1], w[span + 1 - e + h:span + 1 + h]))
+
+    def above(g, s, t):
+        # S_s is body + corner: corner sums the products around position 0
+        body = (2 * walked[_HALF][s] - last(_HALF, s, half - (n - s - 1) // 2)
+                - last(_HALF, s, half - (n - s) // 2))
+        corner = sum(map(mul, head[:s + 1], reversed(head[:s + 1])))
+        if t == 1:
+            return body + corner
+        c = 1 - t
+        e = int(c.denominator <= q_max)
+        if g == s:
+            return body - walked[c][s] + last(c, s, s + e)
+        return body + corner - 2 * q_max * head[s] - walked[c][s] + last(c, s, e)
+
+    return above
 
 
 def autocorr_sum(q_max: int, h: int, workers: int = 1) -> int:
@@ -314,7 +434,7 @@ def lu_count_table(q_max: int, ks, ts=(1,), workers: int = 1) -> list[list[Tuple
         raise ValueError("k must be >= 1")
     ts = _cutoffs(ts)
     distinct = tuple(sorted(set(ks)))
-    at_t = [_column_sums(parts) for parts in _run_chunks(_chunk_lu, q_max, ts, workers, distinct)]
+    at_t = _walk_sums(_chunk_lu, q_max, ts, workers, distinct)
     column = {k: 2 * i for i, k in enumerate(distinct)}
     return [[(counts[column[k]], counts[column[k] + 1]) for counts in at_t] for k in ks]
 

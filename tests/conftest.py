@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the package internals: Farey
 sequences come from sorting all reduced fractions, index values from the
 neighbor-sum quotient, coprime lattice points from a scan of the bounding
-box, convex hulls from a monotone chain over integer points.
+box, convex hulls from a monotone chain over integer points.  The one
+exception is `full_period_sums`, which sums over the package's walk of the
+whole period, the route the walk statistics replaced by the mirror identities.
 Areas of unions of polygons come from clipping every pair of pieces with the
 public `clip_convex`, never from the region profiles that
 `star_intersection_area` reads.  The region sweep is redone in `Fraction`
@@ -78,6 +80,29 @@ def brute_partial(q_max, ts):
     """Sums of the indices over gamma <= t, one per t."""
     fr, _, nus = brute_indices(q_max)
     return [sum(nu for f, nu in zip(fr, nus) if f <= t) for t in ts]
+
+
+def full_period_sums(q_max, lags, ks, ts):
+    """S_{h,t}, (L, U) and the partial index sums (rows per lag or k, columns per t).
+
+    Each is a cyclic sum over `farey.index_sequence`, the walk of all of F_Q,
+    with the elements gamma <= t read off the sorted fractions.
+    """
+    from farey_index import farey
+
+    nus = farey.index_sequence(q_max)
+    fr = brute_farey(q_max)
+    n = len(nus)
+    top = 2 * q_max + 1
+    inside = {t: [i for i in range(n) if fr[i] <= t] for t in ts}
+    autocorr = [[sum(nus[i] * nus[(i + h) % n] for i in inside[t]) for t in ts] for h in lags]
+    lu = [
+        [(sum(1 for i in inside[t] if nus[i] == k == top // fr[i].denominator - 1),
+          sum(1 for i in inside[t] if nus[i] == k == top // fr[i].denominator)) for t in ts]
+        for k in ks
+    ]
+    partial = [sum(nus[i] for i in inside[t]) for t in ts]
+    return autocorr, lu, partial
 
 
 def brute_visible_count(p, scale):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from farey_index.cli import MAX_LAG, main
-from farey_index import bcz, stats, totient_summatory
+from farey_index import bcz, farey, stats, totient_summatory
 
 
 def run_cli(capsys, *argv):
@@ -248,23 +248,83 @@ def test_workers_default_from_environment(tmp_path, capsys, monkeypatch):
         (("partial", "--t", "1/2,0,1"), "_chunk_index_sum"),
         (("moment", "--alpha", "1,2,1/2"), None),
         (("moment", "--alpha", "1"), None),
+        (("S_h", "--h", "2,5", "--t", "1"), "_chunk_autocorr"),
+        (("S_h", "--h", "1", "--t", "4/5,3/5"), "_chunk_autocorr"),
+        (("LU", "--k", "1,3", "--t", "1,5/6"), "_chunk_lu"),
+        (("partial", "--t", "1"), "_chunk_index_sum"),
     ],
 )
 def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
-    # moments are read off the lattice histogram and never walk
-    walks = []
-    run_chunks = stats._run_chunks
+    # moments are read off the lattice histogram and never walk.  The other
+    # statistics walk (0, 1/2] at most: a cutoff above 1/2 is assembled from
+    # its mirror.  The chunks tile (0, T] with T <= 1/2, every walk starts at
+    # a point seek finds at or below 1/2, and none runs more than the
+    # largest lag past the end of its chunk
+    walks, chunks, starts, steps = [], [], [], []
+    run_chunks, seek, index_blocks = stats._run_chunks, stats.seek, stats.index_blocks
 
-    def counted(*args):
-        walks.append((args[0].__name__, args[1]))
-        return run_chunks(*args)
+    def counted(kernel, order, *args):
+        walks.append((kernel.__name__, order))
+
+        def logged(task):
+            chunks.append((order, task[-1]))
+            return kernel(task)
+
+        return run_chunks(logged, order, *args)
+
+    def logged_seek(order, t):
+        starts.append(Fraction(t))
+        return seek(order, t)
+
+    def logged_blocks(order, pd, cd, count):
+        steps.append((order, count))
+        return index_blocks(order, pd, cd, count)
 
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(stats, "_run_chunks", counted)
+    monkeypatch.setattr(stats, "seek", logged_seek)
+    monkeypatch.setattr(stats, "index_blocks", logged_blocks)
     code, out, _ = run_cli(capsys, "converge", argv[0], "--q-list", "30,40", *argv[1:],
                            "--workers", "3")
     assert code == 0
     assert walks == ([(kernel, 30), (kernel, 40)] if kernel else [])
+    assert all(t <= Fraction(1, 2) for t in starts)
+    lag = max(map(int, argv[2].split(","))) if argv[1] == "--h" else 0
+    for q in (30, 40):
+        half = farey.farey_rank(q, Fraction(1, 2))
+        assert sum(count for order, count in chunks if order == q) <= half
+        counts = [count for order, count in steps if order == q]
+        assert sum(counts) <= half + len(counts) * (lag + 1) < totient_summatory(q) * 2 // 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moment", "--t", "1/2"),
+        ("moment", "--h", "1"),
+        ("moment", "--k", "2"),
+        ("S_h", "--alpha", "1/2"),
+        ("S_h", "--alpha", "1/2", "--k", "3"),
+        ("LU", "--alpha", "1"),
+        ("LU", "--h", "2"),
+        ("partial", "--alpha", "1"),
+        ("partial", "--h", "1"),
+        ("partial", "--k", "1"),
+    ],
+)
+def test_converge_refuses_parameters_of_other_stats(capsys, monkeypatch, argv):
+    # a parameter the statistic does not read used to be ignored, the run
+    # exiting 0 with it in the manifest
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before validating")
+
+    for name in ("_run_chunks", "index_histogram"):
+        monkeypatch.setattr(stats, name, no_work)
+    code, out, err = run_cli(capsys, "converge", argv[0], "--q", "10", *argv[1:])
+    assert code == 2
+    assert out == ""
+    flag = next(arg for arg in argv[1:] if arg.startswith("--"))
+    assert f"converge: {flag} does not apply to {argv[0]}" in err
 
 
 def test_converge_partial_accepts_t_zero(capsys):
@@ -385,8 +445,9 @@ def test_visible_output(capsys):
 
 
 # sha256 of the stdout of each command, as computed by the Fraction polygon
-# kernel (geometry) and by the walks and the bounding-box scan (enumeration);
-# a change of route must leave every payload byte-identical
+# kernel (geometry), by the walks and the bounding-box scan (enumeration) and,
+# for S_h, LU and partial, by walks over the whole of F_Q; a change of route
+# must leave every payload byte-identical
 GOLDEN_PAYLOADS = [
     (("constants", "--h", "1,2,3,4,5,6,7,8", "--alpha", "1,1/3,10/7", "--k", "50"),
      "4d104dff24d38580d512bcef90d0f7f1d7623bc85db47eef1f03f3583072059b"),
@@ -406,6 +467,16 @@ GOLDEN_PAYLOADS = [
      "2f4226e5292a472fa7b166e98a299d5707d145b74855b2988dd655961336f8d9"),
     (("visible", "--scale", "100", "--square"),
      "d88213e508f2801e48d61407f93e28a167e785bfa2d6bc3002506f5dab00c959"),
+    (("converge", "S_h", "--q-list", "1502,3005", "--h", "1,2,3", "--t", "3/7,1"),
+     "89a56f42cd95a2bcd0e1bd49cf2c44d05c0a0eeabc3780fa2fc6f2d7417bcb3e"),
+    # lags 5 and 8 exceed N(Q) at Q <= 3
+    (("converge", "S_h", "--q-list", "1,2,3,40", "--h", "1,2,5,8", "--t", "1/2,4/7,1"),
+     "5b7d6516d5cee650ffb2f0f66709f14c77e971061c2abaacb88685994640d10d"),
+    # k = 2Q = 600 is the index of 1/1 at Q = 300
+    (("converge", "LU", "--q-list", "2,300,1000", "--k", "1,2,4,600", "--t", "1/2,4/7,4/5,1"),
+     "7ec24995c40b92780cf7cf7c2bf65051f8dcd0af0865d5912914fb1722db4d2b"),
+    (("converge", "partial", "--q-list", "1,2,1000", "--t", "0,1/5,1/2,2/3,4/5,1"),
+     "cdc7668eda53b4d5c3eb8aad9b5adcc0b5bffb3d27f95a0099ed613863a8539e"),
 ]
 
 
@@ -413,7 +484,7 @@ GOLDEN_PAYLOADS = [
     "argv, digest",
     GOLDEN_PAYLOADS,
     ids=("constants", "tables", "orbit", "moment", "identities", "visible", "visible-k2",
-         "visible-star3", "visible-square"),
+         "visible-star3", "visible-square", "S_h", "S_h-small", "LU", "partial"),
 )
 def test_golden_payloads(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)

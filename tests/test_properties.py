@@ -35,6 +35,7 @@ from conftest import (
     brute_partial,
     brute_visible_count,
     fraction_region_parts,
+    full_period_sums,
     hull,
     shoelace2,
     symmetric_difference_area,
@@ -62,6 +63,45 @@ def test_multi_parameter_walks_property(q, lags, ks, ts, workers, block):
         assert autocorr_sums(q, lags, ts, workers) == brute_autocorr(q, lags, ts)
         assert lu_count_table(q, ks, ts, workers) == brute_lu(q, ks, ts)
         assert partial_index_sums(q, [0] + ts, workers) == brute_partial(q, [0] + ts)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    q=st.integers(1, 300),
+    lags=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    ks=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    ts=st.lists(
+        st.one_of(
+            st.just(Fraction(1)),
+            st.fractions(min_value=0, max_value=1, max_denominator=40).filter(lambda t: t > 0),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    workers=st.integers(1, 4),
+    data=st.data(),
+)
+def test_mirror_route_matches_full_period_walk_property(q, lags, ks, ts, workers, data):
+    # cutoffs above 1/2 come from the walk of (0, 1/2]; the oracle walks the
+    # whole period.  One lag up to three periods, and k = 2Q, which counts 1/1
+    lags = lags + [data.draw(st.integers(1, 3 * stats.totient_summatory(q)))]
+    ks = ks + [2 * q]
+    autocorr, lu, partial = full_period_sums(q, lags, ks, [0] + ts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stats.os, "cpu_count", lambda: 1)
+        assert autocorr_sums(q, lags, ts, workers) == [row[1:] for row in autocorr]
+        assert lu_count_table(q, ks, ts, workers) == [row[1:] for row in lu]
+        assert partial_index_sums(q, [0] + ts, workers) == partial
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 300))
+def test_index_sequence_is_even(q):
+    # the mirror gamma -> 1 - gamma keeps q and nu: nu_{N-i} = nu_i for
+    # 0 < i < N, and nu_N = nu_0 = 2Q
+    nus = farey.index_sequence(q)
+    assert nus[-1] == 2 * q
+    assert nus[:-1] == nus[-2::-1]
 
 
 @st.composite

@@ -43,6 +43,7 @@ from conftest import (
     brute_lu,
     brute_partial,
     brute_visible_count,
+    full_period_sums,
 )
 
 F = Fraction
@@ -227,6 +228,41 @@ def test_multi_parameter_walks_match_oracle(workers, monkeypatch):
         assert partial_index_sums(q, ts + [F(0)], workers) == brute_partial(q, ts + [F(0)])
 
 
+@pytest.mark.parametrize("workers", (1, 3))
+def test_mirror_route_matches_full_period_walk(workers, monkeypatch):
+    # every cutoff above 1/2 is assembled from the walk of (0, 1/2]; the
+    # oracle sums over the whole period.  Every t of F_12, t = 1 among them;
+    # for Q <= 3, N(Q) <= 4 lies below most lags, and k = 2Q counts gamma = 1
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)
+    grid = sorted({F(a, b) for b in range(1, 13) for a in range(1, b + 1)})
+    for q in range(1, 13):
+        n = totient_summatory(q)
+        lags = list(range(1, 25)) + [n, n + 1, 2 * n + 3, 10**12 + 1]
+        ks = list(range(1, 2 * q + 2))
+        autocorr, lu, partial = full_period_sums(q, lags, ks, [F(0)] + grid)
+        assert autocorr_sums(q, lags, grid, workers) == [row[1:] for row in autocorr]
+        assert lu_count_table(q, ks, grid, workers) == [row[1:] for row in lu]
+        assert partial_index_sums(q, [F(0)] + grid, workers) == partial
+
+
+def test_lags_past_half_the_period_walk_their_mirror(monkeypatch):
+    # S_h = S_{N-h}, and above 1/2 a lag h > N/2 is read off the lag N - h,
+    # so no walk runs more than N - h + 1 elements past its chunk or cut
+    walked = []
+    index_blocks = stats.index_blocks
+
+    def logged(order, pd, cd, count):
+        walked.append(count)
+        return index_blocks(order, pd, cd, count)
+
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(stats, "index_blocks", logged)
+    n = totient_summatory(40)
+    ts = [F(3, 4), F(1)]
+    assert autocorr_sums(40, [n - 1, n - 2], ts) == brute_autocorr(40, [n - 1, n - 2], ts)
+    assert sum(walked) <= farey.farey_rank(40, F(1, 2)) + 3 * len(walked)
+
+
 def test_lags_reduced_mod_period_at_every_cutoff(monkeypatch):
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)
     # 10**12 + 3 steps of lookahead would never finish: the lag is reduced first
@@ -276,7 +312,8 @@ def test_pool_processes_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(stats.multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 2)
-    assert lu_counts(60, 2, F(3, 4), workers=7) == lu_counts(60, 2, F(3, 4))
+    # the walk covers (0, 1/2] and is cut at 1 - 5/7 = 2/7, a multiple of 1/14
+    assert lu_counts(60, 2, F(5, 7), workers=7) == lu_counts(60, 2, F(5, 7))
     assert sizes == [2]  # two processes ...
     assert task_counts == [7]  # ... still running seven chunks
 
