@@ -364,9 +364,8 @@ def autocorr_sums(q_max: int, lags, ts=(1,), workers: int = 1) -> list[list[int]
     if min(ts) <= _HALF:
         walk_lags.update(reduced)
     distinct = tuple(sorted(walk_lags))
-    walked = _run_chunks(_chunk_autocorr, q_max, ts, workers, distinct)
-    column = {h: i for i, h in enumerate(distinct)}
-    walked = {c: {h: sums[column[h]] for h in distinct} for c, sums in walked.items()}
+    walked = {c: dict(zip(distinct, sums))
+              for c, sums in _run_chunks(_chunk_autocorr, q_max, ts, workers, distinct).items()}
     above = _mirror_autocorr(q_max, n, walked, ts, max(mirrored)) if max(ts) > _HALF else None
     return [
         [walked[t][g] if t <= _HALF else above(g, s, t) for t in ts]
