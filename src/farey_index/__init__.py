@@ -20,8 +20,6 @@ from .geometry import (
     UnimodularMap,
     apply_map,
     clip_convex,
-    contains_point,
-    half_plane_clip,
     polygon_area,
 )
 from .farey import (

@@ -442,23 +442,6 @@ class PowerMomentConstant:
         return float(self.value)
 
 
-_AREA_FORMULA_CHECKED = False
-
-
-def _certified_region_area(k: int) -> float:
-    """Float area of region k, from polygons for small k, by the certified
-    closed form 4/(k (k+1) (k+2)) beyond."""
-    global _AREA_FORMULA_CHECKED
-    if k <= 64:
-        return float(region_area(k))
-    if not _AREA_FORMULA_CHECKED:
-        for j in range(2, 65):
-            if region_area(j) * j * (j + 1) * (j + 2) != 4:
-                raise GeometryError("region area closed form failed certification")
-        _AREA_FORMULA_CHECKED = True
-    return 4.0 / (k * (k + 1.0) * (k + 2.0))
-
-
 def b_alpha(alpha, tol: float = 1e-8) -> PowerMomentConstant:
     """B_alpha = sum over k of k^alpha * area(region k), for 0 < alpha < 2.
 
@@ -473,6 +456,11 @@ def b_alpha(alpha, tol: float = 1e-8) -> PowerMomentConstant:
         raise ValueError("alpha must lie in (0, 2)")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    # the exact tail at alpha = 1 and the direct sum otherwise both use the
+    # closed form past k = 64: certify it against the polygons first
+    for k in range(2, 65):
+        if region_area(k) * k * (k + 1) * (k + 2) != 4:
+            raise GeometryError("region area closed form failed certification")
 
     if alpha.denominator == 1:  # alpha == 1
         cut = 64
@@ -496,8 +484,10 @@ def b_alpha(alpha, tol: float = 1e-8) -> PowerMomentConstant:
         if cut > 1 << 26:
             raise ValueError("tolerance not achievable by direct summation")
 
-    partial = _certified_region_area(1)  # k = 1 term: 1^alpha * 1/6
-    for k in range(2, cut + 1):
-        partial += k ** a * _certified_region_area(k)
+    partial = float(region_area(1))  # k = 1 term: 1^alpha * 1/6
+    for k in range(2, 65):
+        partial += k ** a * float(region_area(k))
+    for k in range(65, cut + 1):
+        partial += k ** a * (4.0 / (k * (k + 1.0) * (k + 2.0)))
     value = partial + (upper + lower) / 2
     return PowerMomentConstant(value, (upper - lower) / 2, cut, False)

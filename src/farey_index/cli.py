@@ -25,17 +25,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import __version__, bcz, stats
 from .geometry import ConvexPolygon, Point2, polygon_area
 from .stats import StatRecord
-
-
-def _rat(value: Fraction) -> str:
-    return str(value)
 
 
 def _real(value: float) -> str:
@@ -76,23 +71,15 @@ def _positive_int(text: str) -> int:
 MAX_LAG = 24
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    artifact_version: str
-    duration_seconds: float
-    workers: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
 class _Output:
-    """Routes the data payload and its manifest per the output options."""
+    """Routes the data payload and its manifest per the output options.
+
+    The payload is buffered and written whole by `finish`.
+    """
 
     def __init__(self, args, command: str, parameters: dict, workers: int = 1):
         self.out_path: Optional[str] = getattr(args, "out", None)
+        self.format = args.format
         self.command = command
         self.parameters = parameters
         self.workers = workers
@@ -102,27 +89,41 @@ class _Output:
     def write(self, text: str) -> None:
         self.buffer.write(text)
 
-    def manifest(self) -> RunManifest:
-        return RunManifest(
-            command=self.command,
-            parameters=self.parameters,
-            artifact_version=__version__,
-            duration_seconds=round(time.monotonic() - self.started, 6),
-            workers=self.workers,
-        )
+    def manifest(self) -> dict:
+        return {
+            "command": self.command,
+            "parameters": self.parameters,
+            "artifact_version": __version__,
+            "duration_seconds": round(time.monotonic() - self.started, 6),
+            "workers": self.workers,
+        }
+
+    def write_rows(self, header: list, rows) -> None:
+        """A header and rows: CSV, or JSON {"rows": [...], "manifest": ...}."""
+        if self.format == "json":
+            self.write_document({"rows": [dict(zip(header, row)) for row in rows]})
+        else:
+            writer = csv.writer(self.buffer, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def write_document(self, document: dict) -> None:
+        """One JSON document, with the manifest embedded."""
+        document = {**document, "manifest": self.manifest()}
+        self.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
     def finish(self) -> None:
         payload = self.buffer.getvalue()
-        manifest = self.manifest()
+        manifest = json.dumps(self.manifest(), sort_keys=True)
         if self.out_path:
             with open(self.out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(payload)
             with open(self.out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-                fh.write(manifest.to_json() + "\n")
+                fh.write(manifest + "\n")
         else:
             sys.stdout.write(payload)
             sys.stdout.flush()
-            print(f"manifest: {manifest.to_json()}", file=sys.stderr)
+            print(f"manifest: {manifest}", file=sys.stderr)
 
 
 def _progress(message: str) -> None:
@@ -199,11 +200,11 @@ def cmd_constants(args) -> int:
     try:
         for h in h_list:
             _progress(f"computing A({h}) ...")
-            data["A"][str(h)] = _rat(bcz.autocorrelation_constant(h))
+            data["A"][str(h)] = str(bcz.autocorrelation_constant(h))
         for alpha in alpha_list:
             result = bcz.b_alpha(alpha, tol=args.tol)
             data["B"][str(alpha)] = {
-                "value": _rat(result.value) if result.exact else _real(result.value),
+                "value": str(result.value) if result.exact else _real(result.value),
                 "tail_bound": _real(result.tail_bound),
                 "terms": result.terms,
                 "exact": result.exact,
@@ -218,15 +219,13 @@ def cmd_constants(args) -> int:
             if l_k != closed_l(k) or u_k != closed_u(k):
                 _progress(f"frequency mismatch against closed form at k={k}")
                 exit_code = 1
-            data["frequencies"].append({"k": k, "l": _rat(l_k), "u": _rat(u_k)})
+            data["frequencies"].append({"k": k, "l": str(l_k), "u": str(u_k)})
     except bcz.TailCertificateError as exc:
         _progress(f"tail certificate failure: {exc}")
         return 1
 
     if args.format == "json":
-        document = dict(data)
-        document["manifest"] = asdict(out.manifest())
-        out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        out.write_document(data)
     else:
         for h in h_list:
             out.write(f"A({h}) = {data['A'][str(h)]}\n")
@@ -251,17 +250,10 @@ def cmd_tables(args) -> int:
         table[m][n] == table[n][m] for m in range(args.M) for n in range(m + 1, args.M)
     )
     if args.format == "json":
-        document = {
-            "h": args.h,
-            "entries": [[_rat(v) for v in row] for row in table],
-            "manifest": asdict(out.manifest()),
-        }
-        out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        out.write_document({"h": args.h, "entries": [[str(v) for v in row] for row in table]})
     else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["m/n"] + [str(n) for n in range(1, args.M + 1)])
-        for m in range(args.M):
-            writer.writerow([str(m + 1)] + [_rat(v) for v in table[m]])
+        out.write_rows(["m/n"] + [str(n) for n in range(1, args.M + 1)],
+                       ([str(m + 1)] + [str(v) for v in row] for m, row in enumerate(table)))
     out.finish()
     if not symmetric:
         _progress("tables: symmetry violation in computed table")
@@ -335,7 +327,7 @@ def cmd_converge(args) -> int:
     rows = []
     for rec in records:
         prediction = (
-            _rat(rec.prediction)
+            str(rec.prediction)
             if isinstance(rec.prediction, Fraction)
             else _real(rec.prediction)
         )
@@ -357,18 +349,8 @@ def cmd_converge(args) -> int:
                 rec.error_bound_form,
             ]
         )
-    header = ["Q", "stat", "param", "exact", "prediction", "ratio", "abs_dev", "error_bound"]
-    if args.format == "json":
-        document = {
-            "rows": [dict(zip(header, row)) for row in rows],
-            "manifest": asdict(out.manifest()),
-        }
-        out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+    out.write_rows(["Q", "stat", "param", "exact", "prediction", "ratio", "abs_dev", "error_bound"],
+                   rows)
     out.finish()
     return 0
 
@@ -393,11 +375,9 @@ def cmd_orbit(args) -> int:
     r = args.r if args.r is not None else (stats.totient_summatory(args.q) if args.q else 10)
     out = _Output(args, "orbit", {"x": str(start[0]), "y": str(start[1]), "r": r})
     state = bcz.orbit(Point2(Fraction(start[0]), Fraction(start[1])), r)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["i", "L_i", "kappa_i"])
-    for i, value in enumerate(state.L):
-        kappa = str(state.kappas[i - 1]) if 1 <= i <= len(state.kappas) else ""
-        writer.writerow([i, _rat(value), kappa])
+    out.write_rows(["i", "L_i", "kappa_i"],
+                   ([i, str(value), str(state.kappas[i - 1]) if 1 <= i <= len(state.kappas) else ""]
+                    for i, value in enumerate(state.L)))
     del state  # N(Q) Fractions: free them before the payload is joined
     out.finish()
     return 0
@@ -427,15 +407,8 @@ def cmd_visible(args) -> int:
     area = polygon_area(region)
     predicted = 6 * float(area) * args.scale**2 / math.pi**2
     ratio = count / predicted if predicted else math.nan
-    header = ["region", "scale", "count", "area", "predicted", "ratio"]
-    row = [label, args.scale, count, _rat(area), _real(predicted), _real(ratio)]
-    if args.format == "json":
-        document = {"rows": [dict(zip(header, row))], "manifest": asdict(out.manifest())}
-        out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerow(row)
+    out.write_rows(["region", "scale", "count", "area", "predicted", "ratio"],
+                   [[label, args.scale, count, str(area), _real(predicted), _real(ratio)]])
     out.finish()
     return 0
 
@@ -484,8 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="exact statistics against predictions")
     p.add_argument("stat", choices=("S_h", "moment", "LU", "partial"))
-    p.add_argument("--q", type=int, help="single order (alternative to --q-list)")
-    p.add_argument("--q-list", dest="q_list", type=_parse_int_list, help="ascending comma list of orders")
+    orders = p.add_mutually_exclusive_group()
+    orders.add_argument("--q", type=int, help="single order (alternative to --q-list)")
+    orders.add_argument("--q-list", dest="q_list", type=_parse_int_list,
+                        help="ascending comma list of orders")
     p.add_argument("--h", type=_parse_int_list, help="comma list of lags (S_h)")
     p.add_argument("--alpha", type=_parse_fraction_list, help="comma list of exponents (moment)")
     p.add_argument("--k", type=_parse_int_list, help="comma list of index values (LU)")

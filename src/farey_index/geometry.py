@@ -54,18 +54,8 @@ class Point2:
         object.__setattr__(self, "x", _coerce(self.x))
         object.__setattr__(self, "y", _coerce(self.y))
 
-    def as_tuple(self) -> Tuple[Fraction, Fraction]:
-        return (self.x, self.y)
-
-
-ORIGIN = Point2(0, 0)
 
 PointLike = Union[Point2, Tuple[RationalLike, RationalLike]]
-
-
-def cross(o: Point2, a: Point2, b: Point2) -> Fraction:
-    """Signed cross product (a-o) x (b-o); positive iff o->a->b turns left."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
 def _as_point(p: PointLike) -> Point2:
@@ -217,15 +207,6 @@ class UnimodularMap:
     def determinant(self) -> int:
         return self.a * self.d - self.b * self.c
 
-    def apply(self, p: Point2) -> Point2:
-        return Point2(self.a * p.x + self.b * p.y, self.c * p.x + self.d * p.y)
-
-    def inverse(self) -> "UnimodularMap":
-        det = self.determinant
-        if det == 1:
-            return UnimodularMap(self.d, -self.b, -self.c, self.a)
-        return UnimodularMap(-self.d, self.b, self.c, -self.a)
-
 
 def polygon_area(p: ConvexPolygon) -> Fraction:
     """Exact area by the shoelace formula; empty and degenerate give 0."""
@@ -306,48 +287,12 @@ def clip_convex(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     return _polygon(pts, den)
 
 
-def half_plane_clip(
-    p: ConvexPolygon,
-    a: RationalLike,
-    b: RationalLike,
-    c: RationalLike,
-    closed: bool = True,
-) -> ConvexPolygon:
-    """Clip p against {a x + b y <= c} (closed) or {a x + b y < c} (open).
+def apply_map(p: ConvexPolygon, m: UnimodularMap) -> ConvexPolygon:
+    """Image of p under the linear map x -> m x; area is preserved.
 
-    Polygons are closed sets, so the open variant returns the closure of the
-    open intersection: identical to the closed clip when p reaches strictly
-    inside the half plane, empty otherwise.
+    The image keeps p's reduced denominator and needs only its start vertex
+    (and, for determinant -1, its order) restored.
     """
-    a = _coerce(a)
-    b = _coerce(b)
-    c = _coerce(c)
-    if a == 0 and b == 0:
-        raise GeometryError("half plane normal must be nonzero")
-    if not p.coords:
-        return EMPTY_POLYGON
-    scale = math.lcm(a.denominator, b.denominator, c.denominator)
-    a, b, c = int(a * scale), int(b * scale), int(c * scale)
-    below, _, den = _split_halfplane_points(p.coords, p.den, a, b, c)
-    result = _polygon(below, den)
-    if closed:
-        return result
-    if any(a * x + b * y < c * p.den for x, y in p.coords):
-        return result
-    return EMPTY_POLYGON
-
-
-def apply_map(p: ConvexPolygon, m: UnimodularMap, translation: Point2 = ORIGIN) -> ConvexPolygon:
-    """Image of p under the affine map x -> m x + translation; area is preserved.
-
-    Without a translation the image keeps p's reduced denominator and needs
-    only its start vertex (and, for determinant -1, its order) restored.
-    """
-    if translation != ORIGIN:
-        return ConvexPolygon(
-            (m.a * v.x + m.b * v.y + translation.x, m.c * v.x + m.d * v.y + translation.y)
-            for v in p.vertices
-        )
     if not p.coords:
         return EMPTY_POLYGON
     pts = [(m.a * x + m.b * y, m.c * x + m.d * y) for x, y in p.coords]
@@ -355,16 +300,3 @@ def apply_map(p: ConvexPolygon, m: UnimodularMap, translation: Point2 = ORIGIN) 
         pts.reverse()
     start = min(range(len(pts)), key=pts.__getitem__)
     return ConvexPolygon._from_canonical(tuple(pts[start:] + pts[:start]), p.den)
-
-
-def contains_point(p: ConvexPolygon, pt: PointLike) -> bool:
-    """Exact closed-polygon membership test."""
-    if not p.coords:
-        return False
-    pt = _as_point(pt)
-    verts = p.vertices
-    n = len(verts)
-    for i in range(n):
-        if cross(verts[i], verts[(i + 1) % n], pt) < 0:
-            return False
-    return True

@@ -53,8 +53,6 @@ from . import bcz, farey
 from .farey import farey_ranks, index_blocks, seek, totient_summatory
 from .geometry import ConvexPolygon
 
-Number = Union[int, float, Fraction]
-
 _HALF = Fraction(1, 2)
 
 

@@ -21,7 +21,14 @@ from functools import lru_cache
 
 import pytest
 
-from farey_index import PolygonSet, clip_convex, polygon_area, push_forward, region_star_polygon
+from farey_index import (
+    Point2,
+    PolygonSet,
+    clip_convex,
+    polygon_area,
+    push_forward,
+    region_star_polygon,
+)
 from farey_index.bcz import mirror_polygon, mirror_set
 
 
@@ -137,6 +144,21 @@ def brute_visible_count(p, scale):
             if all(a * x + b * y >= c for a, b, c in edges):
                 count += 1
     return count
+
+
+def cross(o, a, b):
+    """Signed cross product (a-o) x (b-o) of Point2s; positive iff o->a->b turns left."""
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def contains_point(p, pt):
+    """Exact closed-polygon membership of a Point2 or coordinate pair."""
+    if not p:
+        return False
+    pt = pt if isinstance(pt, Point2) else Point2(*pt)
+    verts = p.vertices
+    n = len(verts)
+    return all(cross(verts[i], verts[(i + 1) % n], pt) >= 0 for i in range(n))
 
 
 def cross2(o, a, b):

@@ -7,6 +7,7 @@ import pytest
 
 from farey_index import (
     FAREY_TRIANGLE,
+    GeometryError,
     bcz,
     Point2,
     PolygonSet,
@@ -262,6 +263,16 @@ def test_b_alpha_two_evaluation_routes_agree():
             total += inc * area
         tail = 2 * a * cutoff ** (a - 2) / (2 - a)
         assert abs(float(direct.value) - total) <= direct.tail_bound + tail + 1e-12
+
+
+def test_b_alpha_certifies_the_area_closed_form(monkeypatch):
+    # every call checks 4/(k (k+1) (k+2)) against the region polygons before
+    # summing it, whatever ran earlier in the process
+    b_alpha(F(1, 3))
+    region_area = bcz.region_area
+    monkeypatch.setattr(bcz, "region_area", lambda k: region_area(k) + (k == 37))
+    with pytest.raises(GeometryError, match="closed form failed certification"):
+        b_alpha(F(1, 2))
 
 
 def test_b_alpha_rejects_bad_input():

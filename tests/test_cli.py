@@ -327,6 +327,21 @@ def test_converge_refuses_parameters_of_other_stats(capsys, monkeypatch, argv):
     assert f"converge: {flag} does not apply to {argv[0]}" in err
 
 
+def test_converge_q_and_q_list_are_exclusive(capsys, monkeypatch):
+    # --q used to be dropped silently in favour of --q-list
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before validating")
+
+    for name in ("_run_chunks", "index_histogram"):
+        monkeypatch.setattr(stats, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "partial", "--q", "10", "--q-list", "20"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_converge_partial_accepts_t_zero(capsys):
     code, out, _ = run_cli(capsys, "converge", "partial", "--q-list", "20", "--t", "0")
     assert code == 0

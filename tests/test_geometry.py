@@ -13,13 +13,11 @@ from farey_index import (
     UnimodularMap,
     apply_map,
     clip_convex,
-    contains_point,
-    half_plane_clip,
     polygon_area,
 )
 from farey_index.bcz import mirror_polygon, region_polygon, region_star_polygon
 
-from conftest import hull, shoelace2
+from conftest import contains_point, cross, hull, shoelace2
 
 UNIT_SQUARE = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
 
@@ -114,9 +112,7 @@ def test_clip_membership_consistency():
 
 
 def _strictly_inside(poly, pt):
-    from farey_index.geometry import cross, _as_point
-
-    pt = _as_point(pt)
+    pt = Point2(*pt)
     verts = poly.vertices
     n = len(verts)
     return all(cross(verts[i], verts[(i + 1) % n], pt) > 0 for i in range(n))
@@ -141,29 +137,20 @@ def test_inclusion_exclusion_on_rectangles():
 
 
 def test_half_plane_clip_examples():
-    half = half_plane_clip(UNIT_SQUARE, 1, 0, Fraction(1, 2))
+    # each half plane is stood in for by a polygon whose only edge that meets
+    # the clipped polygon lies on the bounding line; here x <= 1/2
+    half = clip_convex(UNIT_SQUARE, rect(-5, -5, Fraction(1, 2), 5))
     assert polygon_area(half) == Fraction(1, 2)
 
     # triangle clipped below the region-1 boundary leaves the star-2 triangle
     triangle = region_star_polygon(1)
-    below = half_plane_clip(triangle, -1, 2, 1)   # -x + 2y <= 1, i.e. y <= (1+x)/2
+    # -x + 2y <= 1, i.e. y <= (1+x)/2
+    below = clip_convex(triangle, ConvexPolygon(((-5, -5), (5, -5), (5, 3), (-5, -2))))
     assert polygon_area(below) == Fraction(1, 3)
     assert below == region_star_polygon(2)
 
-    # half plane containing the polygon is a no-op
-    assert half_plane_clip(UNIT_SQUARE, 1, 1, 10) == UNIT_SQUARE
-
-
-def test_half_plane_open_variant():
-    # open clip agrees with the closed clip whenever the polygon reaches
-    # strictly inside, and is empty when only the boundary touches
-    assert half_plane_clip(UNIT_SQUARE, 1, 0, Fraction(1, 2), closed=False) == half_plane_clip(
-        UNIT_SQUARE, 1, 0, Fraction(1, 2)
-    )
-    assert half_plane_clip(UNIT_SQUARE, -1, 0, 0, closed=False) == UNIT_SQUARE
-    assert half_plane_clip(UNIT_SQUARE, 1, 0, 0, closed=False) == EMPTY_POLYGON
-    with pytest.raises(GeometryError):
-        half_plane_clip(UNIT_SQUARE, 0, 0, 1)
+    # half plane containing the polygon is a no-op: x + y <= 10
+    assert clip_convex(UNIT_SQUARE, ConvexPolygon(((-5, -5), (15, -5), (-5, 15)))) == UNIT_SQUARE
 
 
 def test_apply_map_examples():
@@ -187,8 +174,7 @@ def test_apply_map_with_translation_and_area_preservation():
     for _ in range(60):
         p = _random_convex(rng)
         m = rng.choice(maps)
-        t = Point2(rng.randrange(-3, 4), rng.randrange(-3, 4))
-        assert polygon_area(apply_map(p, m, t)) == polygon_area(p)
+        assert polygon_area(apply_map(p, m)) == polygon_area(p)
 
 
 def test_unimodular_map_rejects_bad_determinant():
@@ -196,6 +182,3 @@ def test_unimodular_map_rejects_bad_determinant():
         UnimodularMap(1, 0, 0, 2)
     with pytest.raises(GeometryError):
         UnimodularMap(2, 1, 2, 1)
-    m = UnimodularMap(3, 2, 1, 1)
-    inv = m.inverse()
-    assert inv.apply(m.apply(Point2(5, -7))) == Point2(5, -7)

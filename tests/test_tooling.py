@@ -23,3 +23,22 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(f"farey_index.{module_name}"), name, None))
     ]
     assert missing == []
+
+
+def test_public_surface_is_pinned():
+    # a name enters or leaves the package's public surface only with an edit here
+    import farey_index
+
+    assert sorted(farey_index.__all__) == [
+        "ConvexPolygon", "EMPTY_POLYGON", "FAREY_TRIANGLE", "GeometryError", "OrbitState",
+        "Point2", "PolygonSet", "PowerMomentConstant", "StatRecord", "TailCertificateError",
+        "UnimodularMap", "apply_map", "autocorr_records", "autocorr_sum",
+        "autocorr_sum_interval", "autocorr_sums", "autocorrelation_constant", "b_alpha", "bcz",
+        "bcz_apply", "clip_convex", "farey", "farey_rank", "geometry", "hall_shiu_identity",
+        "index_sequence", "intersection_area_table", "interval_walk", "lower_frequency",
+        "lu_count_table", "lu_counts", "lu_table_records", "moment_records", "orbit",
+        "partial_index_sum", "partial_index_sums", "partial_records", "polygon_area",
+        "push_forward", "region_polygon", "region_star_polygon", "seek",
+        "star_intersection_area", "stats", "sum_index", "sum_index_power", "totient_summatory",
+        "upper_frequency", "upper_lower_triangles", "visible_points_count",
+    ]
