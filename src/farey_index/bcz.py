@@ -442,52 +442,127 @@ class PowerMomentConstant:
         return float(self.value)
 
 
+# The sum over k runs term by term to _HEAD; past it the region areas are the
+# closed form 4/(k (k+1) (k+2)), whose tail is summed analytically.
+_HEAD = 64
+
+# Terms kept of the series 1/((1 + u)(1 + 2u)) = sum_n (-1)^n (2^(n+1) - 1) u^n
+# at u = 1/k <= 1/65; the rest is below 10^-18 of the tail.
+_SERIES_TERMS = 12
+
+# B_2, B_4, ..., B_12 over (2j)!: the Euler-Maclaurin terms kept per Hurwitz zeta.
+_EULER_MACLAURIN = tuple(
+    Fraction(b) / math.factorial(2 * j)
+    for j, b in enumerate(("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730"), 1)
+)
+
+# Unit roundoff of a double, and an allowance for the platform pow: within
+# 2 ulp (correctly rounded libms are within 1/2), so a relative error <= 4u.
+_UNIT = 2.0**-53
+_POW_ERROR = 4 * _UNIT
+
+
+def _tail_bracket(alpha: Fraction) -> Tuple[Fraction, Fraction]:
+    """Exact (X, Y) with the tail past _HEAD equal to 4 a^(alpha-2) (X +/- Y), a = _HEAD + 1.
+
+    With u = 1/k, 4 k^alpha / (k (k+1) (k+2)) = 4 k^(alpha-3) / ((1+u)(1+2u))
+    = 4 sum_n c_n k^(alpha-3-n) with c_n = (-1)^n (2^(n+1) - 1), so the tail
+    is 4 sum_n c_n zeta(s_n, a), s_n = 3 + n - alpha.  Euler-Maclaurin gives
+
+        zeta(s, a) = a^-s (a/(s-1) + 1/2 + sum_j b_j (s)_(2j-1) a^(1-2j)) + R,
+
+    b_j = B_2j/(2j)!, (s)_m the rising factorial, and |R| at most the size of
+    the last kept term (|P_2J| <= |B_2J| under the integral of f^(2J) > 0).
+    X sums the first N = _SERIES_TERMS of these, with a^-s_n written as
+    a^(alpha-2) a^(-1-n).  Y bounds both remainders: R for each n, and the
+    series past n = N, whose terms are at most (2^(N+1) + 1) k^-N in size, so
+    that its part of the tail is at most (2^(N+1) + 1) zeta(s_N, a), below
+    a^(alpha-2) (2^(N+1) + 1) a^(-1-N) (1 + a/(s_N - 1)).
+
+    With alpha = p/q, q (s_n + i) = (3 + n + i) q - p is an integer, so the
+    Euler-Maclaurin terms of every n sum as integers over one denominator.
+    """
+    a, big_n = _HEAD + 1, _SERIES_TERMS
+    p, q = alpha.numerator, alpha.denominator
+    depth = 2 * len(_EULER_MACLAURIN) - 1  # (aq)^depth clears every a^(1-2j) q^(1-2j)
+    common = math.lcm(*(b.denominator for b in _EULER_MACLAURIN))
+    weights = [  # b_j (aq)^(1-2j) times common (aq)^depth
+        b.numerator * (common // b.denominator) * (a * q) ** (depth + 1 - 2 * j)
+        for j, b in enumerate(_EULER_MACLAURIN, 1)
+    ]
+    denominator = common * (a * q) ** depth * a**big_n
+    pole = Fraction(0)  # sum of c_n a^(-n) / (s_n - 1)
+    smooth = 0  # sum of c_n a^(-1-n) (1/2 + sum_j ...), times 2 denominator
+    last = 0  # sum of |c_n| a^(-1-n) (s_n)_(2J-1) a^(1-2J), times (aq)^depth a^N
+    for n in range(big_n):
+        c = (-1) ** n * (2 ** (n + 1) - 1)
+        pole += Fraction(c * q, ((2 + n) * q - p) * a**n)
+        rising = 1  # (s_n)_(2j-1) q^(2j-1)
+        inner = common * (a * q) ** depth  # 1/2 times 2 common (aq)^depth
+        for j, weight in enumerate(weights):
+            for i in range(max(0, 2 * j - 1), 2 * j + 1):
+                rising *= (3 + n + i) * q - p
+            inner += 2 * weight * rising
+        smooth += c * a ** (big_n - 1 - n) * inner
+        last += abs(c) * a ** (big_n - 1 - n) * rising
+    x = pole + Fraction(smooth, 2 * denominator)
+    y = abs(_EULER_MACLAURIN[-1]) * Fraction(last, (a * q) ** depth * a**big_n)
+    y += Fraction(2 ** (big_n + 1) + 1, a ** (big_n + 1)) * (1 + a / (2 + big_n - alpha))
+    return x, y
+
+
 def b_alpha(alpha, tol: float = 1e-8) -> PowerMomentConstant:
     """B_alpha = sum over k of k^alpha * area(region k), for 0 < alpha < 2.
 
     For alpha = 1 the sum telescopes and the exact value is returned.  For
-    other alpha the partial sum is completed with an integral enclosure of the
-    tail: the k-th term lies between 4 k^(alpha-3) (1 - 3/k) and 4 k^(alpha-3),
-    so bracketing integrals pin the tail within a width that is driven below
-    2*tol before summation starts.
+    other alpha the regions k <= 64 are summed term by term and the tail
+    sum over k >= 65 of 4 k^alpha / (k (k+1) (k+2)) is evaluated in closed
+    form: a series in Hurwitz zeta values, each by Euler-Maclaurin with an
+    explicit remainder bound, all in exact rational arithmetic but for one
+    factor 65^(alpha-2).  `tail_bound` is a proven half-width of the returned
+    float: the two remainders plus the rounding of every float operation
+    (the powers k^alpha, the areas, float(alpha), the final correctly rounded
+    sum).  It does not depend on `tol`; a bound above `tol` raises
+    ValueError rather than return a looser value.  `terms` counts the 64
+    region terms and the 12 series terms of the tail.
     """
     alpha = Fraction(alpha)
     if not (0 < alpha < 2):
         raise ValueError("alpha must lie in (0, 2)")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    # the exact tail at alpha = 1 and the direct sum otherwise both use the
+    # both the exact tail at alpha = 1 and the closed tail otherwise use the
     # closed form past k = 64: certify it against the polygons first
-    for k in range(2, 65):
-        if region_area(k) * k * (k + 1) * (k + 2) != 4:
+    for k in range(2, _HEAD + 1):
+        if region_area(k) != Fraction(4, k * (k + 1) * (k + 2)):
             raise GeometryError("region area closed form failed certification")
 
     if alpha.denominator == 1:  # alpha == 1
-        cut = 64
-        value = sum((k * region_area(k) for k in range(1, cut + 1)), Fraction(0))
-        value += Fraction(4, cut + 2)  # telescoped tail of 4/((k+1)(k+2))
-        return PowerMomentConstant(value, 0.0, cut, True)
+        value = sum((k * region_area(k) for k in range(1, _HEAD + 1)), Fraction(0))
+        value += Fraction(4, _HEAD + 2)  # telescoped tail of 4/((k+1)(k+2))
+        return PowerMomentConstant(value, 0.0, _HEAD, True)
 
     a = float(alpha)
-
-    def tail_bracket(cut: int):
-        upper = 4.0 * cut ** (a - 2) / (2 - a)
-        lower = 4.0 * (cut + 1) ** (a - 2) / (2 - a) - 12.0 * cut ** (a - 3) / (3 - a)
-        return lower, upper
-
-    cut = 1024
-    while True:
-        lower, upper = tail_bracket(cut)
-        if (upper - lower) / 2 <= tol:
-            break
-        cut *= 2
-        if cut > 1 << 26:
-            raise ValueError("tolerance not achievable by direct summation")
-
-    partial = float(region_area(1))  # k = 1 term: 1^alpha * 1/6
-    for k in range(2, 65):
-        partial += k ** a * float(region_area(k))
-    for k in range(65, cut + 1):
-        partial += k ** a * (4.0 / (k * (k + 1.0) * (k + 2.0)))
-    value = partial + (upper + lower) / 2
-    return PowerMomentConstant(value, (upper - lower) / 2, cut, False)
+    terms = [k**a * float(region_area(k)) for k in range(1, _HEAD + 1)]
+    # a term's relative error: the pow, float(area) and the product, plus
+    # float(alpha), off by <= u alpha, which moves k^alpha by <= u alpha ln k
+    error = sum(t * (_POW_ERROR + 2 * _UNIT + _UNIT * a * math.log(k))
+                for k, t in enumerate(terms, 1))
+    x, y = _tail_bracket(alpha)
+    exponent = alpha - 2
+    scale = 4.0 * (_HEAD + 1.0) ** float(exponent)
+    tail = scale * float(x)
+    # the pow, float(x) and the product; float(alpha - 2) moves the power by
+    # <= u |alpha - 2| ln 65
+    error += tail * (_POW_ERROR + 2 * _UNIT + _UNIT * float(-exponent) * math.log(_HEAD + 1))
+    error += scale * float(y)
+    value = math.fsum(terms + [tail])
+    error += _UNIT * value
+    # 1% covers the second-order rounding terms and the rounding of the bound
+    bound = 1.01 * error
+    if bound > tol:
+        raise ValueError(
+            f"cannot certify B({alpha}) within tol {tol:g}: the double-precision "
+            f"evaluation reaches +/- {bound:.3g}"
+        )
+    return PowerMomentConstant(value, bound, _HEAD + _SERIES_TERMS, False)

@@ -289,7 +289,7 @@ def _converge_usage_problem(args, q_list: list[int]) -> Optional[str]:
 
 
 def cmd_converge(args) -> int:
-    q_list = args.q_list or ([args.q] if args.q else [])
+    q_list = args.q_list or ([args.q] if args.q is not None else [])
     if not q_list or sorted(q_list) != q_list:
         _progress("converge: need an ascending --q-list")
         return 2
@@ -445,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_parse_int_list, help="comma list of lags")
     p.add_argument("--alpha", type=_parse_fraction_list, help="comma list of exponents")
     p.add_argument("--k", type=int, help="largest frequency index to print")
-    p.add_argument("--tol", type=float, default=1e-8, help="B_alpha tail tolerance")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="largest accepted certified half-width of each non-integer B_alpha; "
+                        "exit 1 if the double-precision evaluation cannot reach it")
     add_common(p)
     p.set_defaults(fn=cmd_constants)
 

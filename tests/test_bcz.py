@@ -1,5 +1,6 @@
 """Transfer-map geometry: regions, push-forwards, tables and exact constants."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -280,6 +281,74 @@ def test_b_alpha_rejects_bad_input():
         b_alpha(2)
     with pytest.raises(ValueError):
         b_alpha(F(1, 2), tol=0)
+
+
+# exponents through (0, 2): both ends, both sides of 1, and the benchmark's heavy ones
+_B_ALPHA_GRID = ("1/100", "1/10", "2/11", "1/3", "1/2", "2/3", "11/12", "5/4", "10/7",
+                 "16/11", "3/2", "7/4", "19/10", "99/50")
+
+
+@functools.lru_cache(maxsize=None)
+def _b_alpha_reference(alpha: Fraction):
+    """B_alpha to 30 digits by mpmath, along two routes that must agree.
+
+    Both sum k <= 64 from the closed-form areas.  One takes the tail as
+    4 sum_n (-1)^n (2^(n+1) - 1) zeta(3 + n - alpha, 65) with mpmath's Hurwitz
+    zeta.  The other is mpmath's Euler-Maclaurin sum with numerical
+    derivatives, given the tail integral as the analytically continued
+    integral over (0, oo), 4 pi (1 - 2^(alpha-1)) / sin(pi alpha), less a
+    quadrature over (0, 65).  (A plain nsum of the series converges to a
+    wrong value near alpha = 2.)
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(30):
+        a = mp.mpf(alpha.numerator) / alpha.denominator
+        head = mp.mpf(1) / 6 + mp.fsum(
+            mp.mpf(k) ** a * 4 / (k * (k + 1) * (k + 2)) for k in range(2, 65)
+        )
+        by_zeta = 4 * mp.fsum(
+            (-1) ** n * (2 ** (n + 1) - 1) * mp.zeta(3 + n - a, 65) for n in range(40)
+        )
+        g = lambda x: 4 / ((x + 1) * (x + 2))
+        f = lambda x: x ** (a - 1) * g(x)
+        # x = t^(1/alpha) takes the x^(alpha-1) singularity at 0 out of the quadrature
+        near = mp.quad(lambda t: g(t ** (1 / a)), [0, 1]) / a + mp.quad(f, [1, 65])
+        integral = 4 * mp.pi * (1 - 2 ** (a - 1)) / mp.sin(mp.pi * a) - near
+        by_sumem = mp.sumem(f, [65, mp.inf], integral=integral)
+        assert abs(by_zeta - by_sumem) < mp.mpf(10) ** -25 * by_zeta
+        return head + by_sumem
+
+
+@pytest.mark.parametrize("alpha", _B_ALPHA_GRID)
+def test_b_alpha_encloses_the_mpmath_value(alpha):
+    reference = _b_alpha_reference(F(alpha))
+    for tol in (1e-8, 1e-12):
+        result = b_alpha(F(alpha), tol=tol)
+        assert abs(result.value - reference) <= result.tail_bound <= tol
+
+
+def test_b_alpha_sums_few_terms():
+    # the tail is closed: no call sums O(1/tol) terms, whatever alpha
+    for alpha in _B_ALPHA_GRID:
+        assert b_alpha(F(alpha), tol=1e-12).terms <= 128
+
+
+# (value, tail_bound) of the direct sum with an integral tail bracket that
+# b_alpha used before the tail was closed, at the default tol 1e-8
+_DIRECT_SUM_ENCLOSURES = {
+    F(1, 3): (0.661432646059456, 6.2812015183525486e-09),
+    F(1, 2): (0.7813782697039232, 4.097251055982073e-09),
+    F(2, 11): (0.5777840187835641, 1.922090094245562e-09),
+    F(11, 12): (1.3188406682377283, 8.097798503931908e-09),
+    F(10, 7): (3.5902750408059068, 5.9826208509763945e-09),
+    F(16, 11): (3.8488889024066655, 8.515605499394285e-09),
+}
+
+
+def test_b_alpha_lies_in_the_direct_sum_enclosure():
+    for alpha, (value, bound) in _DIRECT_SUM_ENCLOSURES.items():
+        assert abs(b_alpha(alpha).value - value) <= bound, alpha
 
 
 def test_star_images_under_pushes_keep_area():

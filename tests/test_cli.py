@@ -54,6 +54,21 @@ def test_constants_text_and_json(capsys):
     assert doc["manifest"]["command"] == "constants"
 
 
+def test_constants_tol_is_met_or_refused(capsys):
+    # a small tol near alpha = 2 is met, and one below double precision is refused
+    code, out, _ = run_cli(capsys, "constants", "--alpha", "19/10", "--tol", "1e-12",
+                           "--format", "json")
+    assert code == 0
+    reached = float(json.loads(out)["B"]["19/10"]["tail_bound"])
+    assert 0 < reached <= 1e-12
+    # exit 1, naming the bound reached
+    code, out, err = run_cli(capsys, "constants", "--alpha", "19/10", "--tol", "1e-30")
+    assert code == 1
+    assert out == ""
+    assert "error: cannot certify B(19/10) within tol 1e-30" in err
+    assert f"reaches +/- {reached:.3g}" in err
+
+
 def test_tables_h1_round_trip(capsys):
     code, out, _ = run_cli(capsys, "tables", "--h", "1", "--M", "5")
     assert code == 0
@@ -156,6 +171,7 @@ def test_converge_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
         ("orbit", "--q", "5", "--x", "1/2", "--y", "3/4"),
         ("orbit", "--x", "1/2"),
         ("orbit", "--y", "3/4"),
+        ("converge", "S_h", "--q", "0", "--h", "1"),
     ],
 )
 def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
@@ -169,6 +185,14 @@ def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert f"{argv[0]}:" in err
+    assert _USAGE_MESSAGES.get(argv, "") in err
+
+
+# the reason a case must give where a wrong check would also exit 2: --q 0 is an
+# order below 1, not a missing --q
+_USAGE_MESSAGES = {
+    ("converge", "S_h", "--q", "0", "--h", "1"): "every order in --q-list must be >= 1",
+}
 
 
 @pytest.mark.parametrize(
@@ -462,16 +486,18 @@ def test_visible_output(capsys):
 # sha256 of the stdout of each command, as computed by the Fraction polygon
 # kernel (geometry), by the walks and the bounding-box scan (enumeration) and,
 # for S_h, LU and partial, by walks over the whole of F_Q; a change of route
-# must leave every payload byte-identical
+# must leave every payload byte-identical.  The B(alpha) digits in `constants`
+# and `moment` are those of the closed Euler-Maclaurin tail; each lies inside
+# the enclosure that the earlier direct sum printed.
 GOLDEN_PAYLOADS = [
     (("constants", "--h", "1,2,3,4,5,6,7,8", "--alpha", "1,1/3,10/7", "--k", "50"),
-     "4d104dff24d38580d512bcef90d0f7f1d7623bc85db47eef1f03f3583072059b"),
+     "0b8d345ffd2fbfbf5061e14356bd027c20a8ee4ef61e352dd55d9581d6393098"),
     (("tables", "--h", "7", "--M", "9"),
      "b467e031e962f13853db781a093c81f61cef24c479a7542221ac97f5e09ef25c"),
     (("orbit", "--q", "30"),
      "6b80d1f9f7099ba183c0de7502ecefc0defe085d62b72402eb5bf986e904e3ef"),
     (("converge", "moment", "--q-list", "2,300,3005", "--alpha", "1,2,11/12,1/2"),
-     "acb22c440a5f50a708579dd6a4be0d0693c307122a601b2564ce12c64a3929d3"),
+     "15756f748f8ebbab97474a7796d198266ea2e89fd7d5a32092ddcc2f26e7c32d"),
     (("identities", "--q", "60"),
      "11af5d550a24b9aabf08fabb7c1d6d8cbb0486627c81ff8c5de88478ff7361a7"),
     (("visible", "--scale", "595"),
