@@ -3,7 +3,7 @@
 The package has four library layers and a CLI:
 
     geometry   exact integer-vertex convex polygons, clipping, unimodular maps
-    farey      the Farey index stream, seeking, ranks and the totient sum
+    farey      the Farey index stream, seeking, and ranks over one Moebius table
     bcz        the area-preserving transfer map on the Farey triangle, its
                region decomposition, push-forwards and exact constants
     stats      exact index statistics at scale, paired with their predictions
@@ -22,13 +22,7 @@ from .geometry import (
     clip_convex,
     polygon_area,
 )
-from .farey import (
-    farey_rank,
-    index_sequence,
-    interval_walk,
-    seek,
-    totient_summatory,
-)
+from .farey import seek, totient_summatory
 from .bcz import (
     FAREY_TRIANGLE,
     OrbitState,

@@ -216,9 +216,7 @@ class PolygonSet:
     pieces: Tuple[ConvexPolygon, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pieces", tuple(p for p in self.pieces if p.vertices)
-        )
+        object.__setattr__(self, "pieces", tuple(p for p in self.pieces if p))
 
     @property
     def area(self) -> Fraction:

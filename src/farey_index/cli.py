@@ -493,6 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if value == []:  # an empty comma list, which must not fall back to a default
+            _progress(f"{args.command}: --{name.replace('_', '-')} needs at least one value")
+            return 2
     try:
         return args.fn(args)
     except (ValueError, bcz.TailCertificateError) as exc:

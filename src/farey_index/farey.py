@@ -18,29 +18,26 @@ sum(nu) = 3 N(Q) - 1.
 The index depends on denominators alone, so the one stream of indices,
 `index_blocks`, carries no numerators; `seek` gives the consecutive pair
 (as plain integers) to start it from at any t, and `farey_ranks` the number
-of steps to any other t.  `interval_walk` is the one walk that also carries
-numerators.  Python integers never overflow, so arbitrarily large Q is safe.
+of steps to any other t.  Python integers never overflow, so arbitrarily
+large Q is safe.
+
+Every count of F_Q is a Moebius inversion over one table, `_moebius`, which
+is kept for the life of the process and regrown by doubling when an order
+outgrows it: the ranks here, N(Q) as the rank of 1, and the lattice counts
+of `stats`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from typing import Iterator, Tuple
 
 _BLOCK = 4096  # most indices one list of `index_blocks` holds
 
 
 def totient_summatory(q_max: int) -> int:
-    """N(Q) = sum of Euler phi(j) for j <= Q, by a linear sieve."""
-    if q_max < 1:
-        raise ValueError("order must be >= 1")
-    phi = list(range(q_max + 1))
-    for p in range(2, q_max + 1):
-        if phi[p] == p:  # p prime
-            for multiple in range(p, q_max + 1, p):
-                phi[multiple] -= phi[multiple] // p
-    return sum(phi[1:])
+    """N(Q) = sum of Euler phi(j) for j <= Q, the rank of 1 in F_Q."""
+    return farey_ranks(q_max, (1,))[0]
 
 
 def seek(order: int, t) -> Tuple[int, int, int, int]:
@@ -84,7 +81,10 @@ def seek(order: int, t) -> Tuple[int, int, int, int]:
     return a, b, a2, q2
 
 
-def _moebius(n: int) -> list[int]:
+_mu: Tuple[int, ...] = ()  # mu(0..n) for the largest n sieved so far
+
+
+def _sieve_moebius(n: int) -> Tuple[int, ...]:
     """mu(0..n) by an Eratosthenes sieve (mu[0] is unused)."""
     mu = [1] * (n + 1)
     composite = bytearray(n + 1)
@@ -95,16 +95,29 @@ def _moebius(n: int) -> list[int]:
                 mu[m] = -mu[m]
             for m in range(p * p, n + 1, p * p):
                 mu[m] = 0
-    return mu
+    return tuple(mu)
+
+
+def _moebius(n: int) -> Tuple[int, ...]:
+    """mu(0..m) for some m >= n, read-only, from the one table every count shares.
+
+    A request beyond the table resieves it to at least twice its length, so
+    requests up to n cost at most log2(n + 1) + 1 sieves, and the table never
+    holds more than 2n + 1 entries for the largest n requested.
+    """
+    global _mu
+    if n >= len(_mu):
+        _mu = _sieve_moebius(max(n, 2 * len(_mu)))
+    return _mu
 
 
 def farey_ranks(order: int, cuts) -> list[int]:
-    """#{gamma in F_Q : gamma <= t} for each t in `cuts`, from one Moebius sieve.
+    """#{gamma in F_Q : gamma <= t} for each t in `cuts`, over the shared Moebius table.
 
     The pairs (a, q) with 1 <= q <= m and 1 <= a <= t q number
     S_t(m) = sum_{q <= m} floor(t q); removing the non-reduced ones by Moebius
     inversion leaves sum_d mu(d) S_t(floor(Q/d)).  O(Q) time per cut point,
-    and no memory beyond the sieve.
+    and no memory beyond the table.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -125,11 +138,6 @@ def farey_ranks(order: int, cuts) -> list[int]:
     return ranks
 
 
-def farey_rank(order: int, t) -> int:
-    """#{gamma in F_Q : gamma <= t}, the number of elements of (0, t] in F_Q."""
-    return farey_ranks(order, (t,))[0]
-
-
 def index_blocks(order: int, pd: int, cd: int, steps: int) -> Iterator[list[int]]:
     """Indices of the `steps` elements after denominators (pd, cd), in lists of <= _BLOCK."""
     while steps > 0:
@@ -141,22 +149,3 @@ def index_blocks(order: int, pd: int, cd: int, steps: int) -> Iterator[list[int]
             pd, cd = cd, k * cd - pd
         steps -= len(block)
         yield block
-
-
-def index_sequence(order: int) -> list[int]:
-    """The indices of all N(Q) elements of F_Q, in order."""
-    return list(chain.from_iterable(index_blocks(order, 1, order, totient_summatory(order))))
-
-
-def interval_walk(order: int, t0, t1) -> Iterator[Tuple[int, int, int]]:
-    """Yield (numerator, denominator, index) for each gamma in (t0, t1] of F_Q."""
-    t0 = Fraction(t0)
-    t1 = Fraction(t1)
-    if not (0 <= t0 <= t1 <= 1):
-        raise ValueError("need 0 <= t0 <= t1 <= 1")
-    pn, pd, cn, cd = seek(order, t0)
-    n1, d1 = t1.numerator, t1.denominator
-    while cn * d1 <= n1 * cd:
-        k = (order + pd) // cd
-        yield cn, cd, k
-        pn, pd, cn, cd = cn, cd, k * cn - pn, k * cd - pd

@@ -7,12 +7,12 @@ routes.
 The lattice route counts instead of walking.  The consecutive denominators
 (q', q) of F_Q are exactly the coprime pairs with q, q' <= Q < q + q', and
 for fixed q the index nu = floor((Q+q')/q) takes one of the two values
-floor(2Q/q) - 1 and floor(2Q/q) on two ranges of q'.  One Moebius sieve
-counts the coprime q' on each range, so the whole index histogram costs
-O(Q log Q); the power moments and the Hall-Shiu count are read off it.
-Coprime lattice points of a scaled polygon are counted the same way, by
-Moebius inversion over the common divisor and a column count in the
-polygon's integer edge inequalities.
+floor(2Q/q) - 1 and floor(2Q/q) on two ranges of q'.  The Moebius table
+every count shares, `farey._moebius`, counts the coprime q' on each range,
+so the whole index histogram costs O(Q log Q); the power moments and the
+Hall-Shiu count are read off it.  Coprime lattice points of a scaled polygon
+are counted the same way, by Moebius inversion over the common divisor and a
+column count in the polygon's integer edge inequalities.
 
 The walk route reads the denominator-only recurrence (one division per
 element) through the stream `farey.index_blocks`.  It serves what is not a

@@ -2,10 +2,13 @@
 
 Everything here is deliberately independent of the package internals: Farey
 sequences come from sorting all reduced fractions, index values from the
-neighbor-sum quotient, coprime lattice points from a scan of the bounding
-box, convex hulls from a monotone chain over integer points.  The one
-exception is `full_period_sums`, which sums over the package's walk of the
-whole period, the route the walk statistics replaced by the mirror identities.
+neighbor-sum quotient, N(Q) from a phi sieve, coprime lattice points from a
+scan of the bounding box, convex hulls from a monotone chain over integer
+points.  The exceptions walk with the package's recurrence: `index_sequence`
+(the index stream over one whole period), `interval_walk` (a walk from
+`seek` that carries numerators) and `full_period_sums`, which sums over the
+whole period, the route the walk statistics replaced by the mirror
+identities.
 Areas of unions of polygons come from clipping every pair of pieces with the
 public `clip_convex`, never from the region profiles that
 `star_intersection_area` reads.  The region sweep is redone in `Fraction`
@@ -23,6 +26,7 @@ import pytest
 
 from farey_index import (
     Point2,
+    farey,
     PolygonSet,
     clip_convex,
     polygon_area,
@@ -40,6 +44,45 @@ def brute_farey(q_max):
             if math.gcd(a, q) == 1:
                 seen.add(Fraction(a, q))
     return sorted(seen)
+
+
+def brute_totient_summatory(q_max):
+    """N(Q) = sum of Euler phi(j) for j <= Q, by an Eratosthenes phi sieve."""
+    phi = list(range(q_max + 1))
+    for p in range(2, q_max + 1):
+        if phi[p] == p:  # p prime
+            for multiple in range(p, q_max + 1, p):
+                phi[multiple] -= phi[multiple] // p
+    return sum(phi[1:])
+
+
+def farey_rank(order, t):
+    """#{gamma in F_Q : gamma <= t}, from the package's rank of one cut."""
+    return farey.farey_ranks(order, (t,))[0]
+
+
+def index_sequence(q_max):
+    """The indices of all N(Q) elements of F_Q, in order, from the package's stream."""
+    steps = brute_totient_summatory(q_max)
+    return [k for block in farey.index_blocks(q_max, 1, q_max, steps) for k in block]
+
+
+def interval_walk(order, t0, t1):
+    """Yield (numerator, denominator, index) for each gamma in (t0, t1] of F_Q.
+
+    Starts from the pair `farey.seek` finds at t0 and steps the recurrence on
+    numerators and denominators both.
+    """
+    t0 = Fraction(t0)
+    t1 = Fraction(t1)
+    if not (0 <= t0 <= t1 <= 1):
+        raise ValueError("need 0 <= t0 <= t1 <= 1")
+    pn, pd, cn, cd = farey.seek(order, t0)
+    n1, d1 = t1.numerator, t1.denominator
+    while cn * d1 <= n1 * cd:
+        k = (order + pd) // cd
+        yield cn, cd, k
+        pn, pd, cn, cd = cn, cd, k * cn - pn, k * cd - pd
 
 
 def brute_indices(q_max):
@@ -92,12 +135,10 @@ def brute_partial(q_max, ts):
 def full_period_sums(q_max, lags, ks, ts):
     """S_{h,t}, (L, U) and the partial index sums (rows per lag or k, columns per t).
 
-    Each is a cyclic sum over `farey.index_sequence`, the walk of all of F_Q,
+    Each is a cyclic sum over `index_sequence`, the walk of all of F_Q,
     with the elements gamma <= t read off the sorted fractions.
     """
-    from farey_index import farey
-
-    nus = farey.index_sequence(q_max)
+    nus = index_sequence(q_max)
     fr = brute_farey(q_max)
     n = len(nus)
     top = 2 * q_max + 1

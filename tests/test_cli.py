@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,24 @@ def test_identities_pass(capsys):
     assert "identities: PASS (60/60)" in out
     assert "Q=1 boundary" in out
     assert "manifest:" in err
+
+
+def test_identities_sieves_one_growing_moebius_table(capsys, monkeypatch):
+    # every order 1..60 is checked, and the count identity asks N(2Q) = N(120):
+    # one shared table, regrown by doubling, sieves O(log Q) times, not per order
+    sieve = farey._sieve_moebius
+    passes = []
+
+    def logged_sieve(n):
+        passes.append(n)
+        return sieve(n)
+
+    monkeypatch.setattr(farey, "_mu", ())
+    monkeypatch.setattr(farey, "_sieve_moebius", logged_sieve)
+    code, out, _ = run_cli(capsys, "identities", "--q", "60")
+    assert code == 0 and "identities: PASS (60/60)" in out
+    assert 1 <= len(passes) <= math.ceil(math.log2(120)) + 1
+    assert 121 <= len(farey._mu) <= 2 * 120 + 1
 
 
 def test_identities_usage_error(capsys):
@@ -139,6 +158,12 @@ def test_converge_requires_ascending_orders(capsys):
         ("S_h", "--q", "-3"),
         ("moment", "--q-list", "1", "--alpha", "2"),
         ("S_h", "--q", "5", "--h", f"1,{MAX_LAG + 1}"),
+        # an empty comma list is refused, not read as the default
+        ("S_h", "--q", "50", "--h", ","),
+        ("partial", "--q", "50", "--t", ","),
+        ("LU", "--q", "50", "--k", ","),
+        ("moment", "--q", "50", "--alpha", ","),
+        ("S_h", "--q-list", ","),
     ],
 )
 def test_converge_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
@@ -172,6 +197,8 @@ def test_converge_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
         ("orbit", "--x", "1/2"),
         ("orbit", "--y", "3/4"),
         ("converge", "S_h", "--q", "0", "--h", "1"),
+        ("constants", "--h", ",", "--k", "1"),
+        ("constants", "--alpha", ","),
     ],
 )
 def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
@@ -192,6 +219,8 @@ def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
 # order below 1, not a missing --q
 _USAGE_MESSAGES = {
     ("converge", "S_h", "--q", "0", "--h", "1"): "every order in --q-list must be >= 1",
+    ("constants", "--h", ",", "--k", "1"): "--h needs at least one value",
+    ("constants", "--alpha", ","): "--alpha needs at least one value",
 }
 
 
@@ -315,7 +344,7 @@ def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
     assert all(t <= Fraction(1, 2) for t in starts)
     lag = max(map(int, argv[2].split(","))) if argv[1] == "--h" else 0
     for q in (30, 40):
-        half = farey.farey_rank(q, Fraction(1, 2))
+        half = farey.farey_ranks(q, (Fraction(1, 2),))[0]
         assert sum(count for order, count in chunks if order == q) <= half
         counts = [count for order, count in steps if order == q]
         assert sum(counts) <= half + len(counts) * (lag + 1) < totient_summatory(q) * 2 // 3

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from farey_index import farey, farey_rank, index_sequence, interval_walk, seek, totient_summatory
+from farey_index import farey, seek, totient_summatory
 
-from conftest import brute_farey, brute_indices
+from conftest import brute_farey, brute_indices, farey_rank, index_sequence, interval_walk
 
 
 def test_totient_summatory_examples():
@@ -26,6 +26,22 @@ def test_totient_summatory_against_gcd_counting():
             if math.gcd(a, q) == 1
         )
         assert totient_summatory(q_max) == count
+
+
+def test_moebius_table_is_shared_and_grows_by_doubling(monkeypatch):
+    def brute_mu(n):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+        return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+    monkeypatch.setattr(farey, "_mu", ())
+    largest = 0
+    for n in (10, 3, 11, 50, 49, 200, 1):
+        largest = max(largest, n)
+        mu = farey._moebius(n)
+        assert isinstance(mu, tuple)  # read-only: callers share it
+        assert n + 1 <= len(mu) <= 2 * largest + 1
+        assert all(mu[k] == brute_mu(k) for k in range(1, len(mu)))
+    assert farey._moebius(100) is farey._moebius(7)  # no resieve inside the table
 
 
 def test_farey_rank_against_sorted_fractions():

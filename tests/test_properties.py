@@ -17,7 +17,6 @@ from farey_index import (
     bcz,
     clip_convex,
     farey,
-    interval_walk,
     lu_count_table,
     partial_index_sums,
     polygon_area,
@@ -33,10 +32,13 @@ from conftest import (
     brute_indices,
     brute_lu,
     brute_partial,
+    brute_totient_summatory,
     brute_visible_count,
     fraction_region_parts,
     full_period_sums,
     hull,
+    index_sequence,
+    interval_walk,
     shoelace2,
     symmetric_difference_area,
 )
@@ -99,9 +101,26 @@ def test_mirror_route_matches_full_period_walk_property(q, lags, ks, ts, workers
 def test_index_sequence_is_even(q):
     # the mirror gamma -> 1 - gamma keeps q and nu: nu_{N-i} = nu_i for
     # 0 < i < N, and nu_N = nu_0 = 2Q
-    nus = farey.index_sequence(q)
+    nus = index_sequence(q)
     assert nus[-1] == 2 * q
     assert nus[:-1] == nus[-2::-1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    qs=st.lists(st.integers(1, 3000), min_size=1, max_size=5),
+    order=st.sampled_from(("ascending", "descending", "as drawn")),
+)
+def test_totient_summatory_over_a_grown_or_larger_table(qs, order):
+    # N(Q) reads the shared Moebius table: sieved for Q, regrown past it, or
+    # left larger by an earlier order, it gives the phi sieve's count; each
+    # order is asked twice, the second time from a table that holds it
+    if order != "as drawn":
+        qs = sorted(qs, reverse=order == "descending")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(farey, "_mu", ())
+        for q in qs + qs:
+            assert stats.totient_summatory(q) == brute_totient_summatory(q), (qs, q)
 
 
 @st.composite
@@ -204,7 +223,7 @@ def test_integer_orbit_matches_fraction_steps(start, r):
 @settings(max_examples=40, deadline=None)
 @given(q=st.integers(1, 300))
 def test_lattice_histogram_matches_the_walk(q):
-    assert stats.index_histogram(q) == dict(Counter(farey.index_sequence(q)))
+    assert stats.index_histogram(q) == dict(Counter(index_sequence(q)))
 
 
 @settings(max_examples=20, deadline=None)

@@ -34,8 +34,8 @@ def test_public_surface_is_pinned():
         "Point2", "PolygonSet", "PowerMomentConstant", "StatRecord", "TailCertificateError",
         "UnimodularMap", "apply_map", "autocorr_records", "autocorr_sum",
         "autocorr_sum_interval", "autocorr_sums", "autocorrelation_constant", "b_alpha", "bcz",
-        "bcz_apply", "clip_convex", "farey", "farey_rank", "geometry", "hall_shiu_identity",
-        "index_sequence", "intersection_area_table", "interval_walk", "lower_frequency",
+        "bcz_apply", "clip_convex", "farey", "geometry", "hall_shiu_identity",
+        "intersection_area_table", "lower_frequency",
         "lu_count_table", "lu_counts", "lu_table_records", "moment_records", "orbit",
         "partial_index_sum", "partial_index_sums", "partial_records", "polygon_area",
         "push_forward", "region_polygon", "region_star_polygon", "seek",
