@@ -35,10 +35,9 @@ ones.  The orbit of a point runs on integers over its common denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from .geometry import (
     ConvexPolygon,
@@ -85,8 +84,7 @@ def bcz_apply(p: Point2) -> Tuple[Point2, int]:
     return Point2(p.y, k * p.y - p.x), k
 
 
-@dataclass(frozen=True)
-class OrbitState:
+class OrbitState(NamedTuple):
     """Orbit data: L_0, ..., L_{r+1} and the branch indices kappa_1..kappa_r."""
 
     L: Tuple[Fraction, ...]
@@ -209,14 +207,16 @@ def mirror_polygon(p: ConvexPolygon) -> ConvexPolygon:
     return apply_map(p, SWAP)
 
 
-@dataclass(frozen=True)
-class PolygonSet:
-    """A finite union of convex polygons with pairwise disjoint interiors."""
+class PolygonSet(NamedTuple("PolygonSet", [("pieces", Tuple[ConvexPolygon, ...])])):
+    """A finite union of convex polygons with pairwise disjoint interiors.
 
-    pieces: Tuple[ConvexPolygon, ...] = ()
+    Empty pieces are dropped on construction.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(p for p in self.pieces if p))
+    __slots__ = ()
+
+    def __new__(cls, pieces=()):
+        return super().__new__(cls, tuple(p for p in pieces if p))
 
     @property
     def area(self) -> Fraction:
@@ -423,8 +423,7 @@ def autocorrelation_constant(h: int, block_limit: int | None = None) -> Fraction
 # The power-moment constant B_alpha
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PowerMomentConstant:
+class PowerMomentConstant(NamedTuple):
     """Value of B_alpha with a certified error bound.
 
     `value` is exact (a Fraction, tail_bound 0) when alpha is an integer;

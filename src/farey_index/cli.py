@@ -494,8 +494,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for name, value in vars(args).items():
-        if value == []:  # an empty comma list, which must not fall back to a default
-            _progress(f"{args.command}: --{name.replace('_', '-')} needs at least one value")
+        if not isinstance(value, list):
+            continue
+        option = "--" + name.replace("_", "-")
+        if not value:  # an empty comma list, which must not fall back to a default
+            _progress(f"{args.command}: {option} needs at least one value")
+            return 2
+        repeated = [v for i, v in enumerate(value) if v in value[:i]]
+        if repeated:  # it would be computed and printed twice
+            _progress(f"{args.command}: {option} repeats the value {repeated[0]}")
             return 2
     try:
         return args.fn(args)

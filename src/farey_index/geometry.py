@@ -24,9 +24,8 @@ only areas matter downstream and those sets carry none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Iterable, NamedTuple, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -43,16 +42,13 @@ def _coerce(value: RationalLike) -> Fraction:
     raise TypeError(f"exact geometry needs int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A point with exact rational coordinates."""
+class Point2(NamedTuple("Point2", [("x", Fraction), ("y", Fraction)])):
+    """A point with exact rational coordinates; ints are coerced to Fractions."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _coerce(self.x))
-        object.__setattr__(self, "y", _coerce(self.y))
+    def __new__(cls, x: RationalLike, y: RationalLike):
+        return super().__new__(cls, _coerce(x), _coerce(y))
 
 
 PointLike = Union[Point2, Tuple[RationalLike, RationalLike]]
@@ -183,25 +179,22 @@ def _polygon(pts, den: int) -> ConvexPolygon:
 EMPTY_POLYGON = ConvexPolygon()
 
 
-@dataclass(frozen=True)
-class UnimodularMap:
+class UnimodularMap(NamedTuple("UnimodularMap", [("a", int), ("b", int), ("c", int), ("d", int)])):
     """Integer linear map (x, y) -> (a x + b y, c x + d y) with |ad - bc| = 1.
 
     Determinant +/-1 means the map preserves area exactly (orientation may
     flip; polygon normalization restores counterclockwise order).
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for v in (self.a, self.b, self.c, self.d):
-            if not isinstance(v, int):
-                raise TypeError("UnimodularMap entries must be integers")
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        self = super().__new__(cls, a, b, c, d)
+        if not all(isinstance(v, int) for v in self):
+            raise TypeError("UnimodularMap entries must be integers")
         if abs(self.determinant) != 1:
             raise GeometryError("determinant must be +1 or -1")
+        return self
 
     @property
     def determinant(self) -> int:

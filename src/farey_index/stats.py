@@ -20,34 +20,37 @@ function of (q', q) alone: the index sum and its partial sums up to a cutoff
 t, the autocorrelations S_{h,t} and the threshold counts (L, U).  Each of
 these walks F_Q once per order Q, however many parameters are asked for, and
 walks at most half of it: the mirror gamma -> 1 - gamma keeps denominators
-and indices (nu_{N-i} = nu_i), so a cutoff t > 1/2, t = 1 included, is
-assembled exactly from the sums up to 1/2 and up to 1 - t.  One walk over
-(0, T], T = min(max t, 1/2), plus the lookahead max(h) of the lags, gives
-S_{h,t} for every lag h and cutoff t, (L, U) for every k and t, or the
-partial sums at every t; the mirror corrections read the index at a cut, or
-the few indices within max(h) + 1 of it.  The walk is split into chunks at
-`workers` equal slices of (0, T] and at every min(t, 1 - t).  Each chunk
-starts from the denominators `seek` finds at its left end and runs for an
-exact step count, the difference of the Farey ranks of its two ends, so no
-kernel carries numerators or compares fractions; a serial run has one chunk
-per cut.  The value at a cut is the sum of the chunk results up to it.
-Partial results merge associatively, so results are identical for every
-chunk count, which is what makes the `workers` parameter a pure throughput
-knob."""
+and indices (nu_{N-i} = nu_i), so a cutoff t > 1/2 is assembled exactly from
+the sums up to 1 - t and over a whole period.  The partial sums and (L, U)
+take the whole-period sums from the lattice histogram: they walk
+(0, max min(t, 1 - t)], and t = 1 walks nothing.  The whole index sum
+`sum_index` is still walked, over (0, 1/2], so that it checks the lattice
+histogram by an independent route.  (L, U) needs only counts
+of index values from the walk, because every element over q has index
+floor((2Q+1)/q) - 1 or floor((2Q+1)/q) and the denominators below a bound
+are counted by a Farey rank.  S_{h,t} takes its whole period from the walk
+of (0, 1/2] with the lookahead max(h) of the lags; the mirror corrections
+read the few indices within max(h) + 1 of a cut.  The walk is split into
+chunks at `workers` equal slices of its range and at every min(t, 1 - t).
+Each chunk starts from the denominators `seek` finds at its left end and
+runs for an exact step count, the difference of the Farey ranks of its two
+ends, so no kernel carries numerators or compares fractions; a serial run
+has one chunk per cut.  The value at a cut is the sum of the chunk results
+up to it.  Partial results merge associatively, so results are identical
+for every chunk count, which is what makes the `workers` parameter a pure
+throughput knob."""
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
 from operator import mul
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from . import bcz, farey
 from .farey import farey_ranks, index_blocks, seek, totient_summatory
@@ -132,42 +135,31 @@ def _chunk_autocorr(task) -> list:
     return [sums[h] for h in lags]
 
 
-def _chunk_lu(task) -> list:
-    """Counts of the low/high threshold coincidences nu = floor((2Q+1)/q) - 1 (or -0).
+def _value_counts(counts, ks) -> list:
+    """[#{nu = k}, #{nu > k}] for each k in turn, from counts {index value: occurrences}."""
+    return [c for k in ks for c in (counts.get(k, 0), sum(n for v, n in counts.items() if v > k))]
 
-    Returns [L(k), U(k)] for each requested k in turn, from one walk.
-    """
+
+def _chunk_value_counts(task) -> list:
+    """`_value_counts` of the indices of `steps` consecutive elements, counted a block at a time."""
     order, ks, pd, cd, steps = task
-    top = 2 * order + 1
-    low = dict.fromkeys(ks, 0)
-    high = dict.fromkeys(ks, 0)
-    for _ in range(steps):
-        k = (order + pd) // cd
-        if k in low:
-            v = top // cd
-            if k == v - 1:
-                low[k] += 1
-            elif k == v:
-                high[k] += 1
-        pd, cd = cd, k * cd - pd
-    return [count for k in ks for count in (low[k], high[k])]
+    counts = Counter()
+    for block in index_blocks(order, pd, cd, steps):
+        counts.update(block)
+    return _value_counts(counts, ks)
 
 
-def _run_chunks(kernel, q_max: int, ts, workers: int, *params) -> dict:
-    """{c: elementwise sums of `kernel` over the chunks that tile (0, c]} for each walk cut c.
+def _run_chunks(kernel, q_max: int, wanted, workers: int, *params) -> dict:
+    """{c: elementwise sums of `kernel` over the chunks that tile (0, c]} for each c in `wanted`.
 
-    A cutoff t above 1/2 is assembled from its mirror 1 - t, so the walk
-    covers (0, T] only: T = 1/2 if some t exceeds 1/2, and max(ts) otherwise.
-    It is cut at min(t, 1 - t) for each t < 1, at 1/2 if some t exceeds 1/2,
-    and at `workers` equal slices of (0, T], so one walk serves every cutoff.
-    Each chunk starts from the denominators `seek` finds at its left end and
-    runs for the exact step count rank(t1) - rank(t0), so no kernel needs a
-    fraction.  The pool never has more processes than the host has CPUs; the
-    chunks, and so every merged result, do not depend on it.
+    The cuts lie in [0, 1/2]; the walk covers (0, T], T = max(wanted), cut at
+    each wanted c and at `workers` equal slices of (0, T], so one walk serves
+    every cut.  Each chunk starts from the denominators `seek` finds at its
+    left end and runs for the exact step count rank(t1) - rank(t0), so no
+    kernel needs a fraction.  The pool never has more processes than the
+    host has CPUs; the chunks, and so every merged result, do not depend on
+    it.  `multiprocessing` is imported only when a pool starts.
     """
-    wanted = {min(t, 1 - t) for t in ts if t < 1}
-    if max(ts) > _HALF:
-        wanted.add(_HALF)
     w = max(1, int(workers))
     t_end = max(wanted)
     cuts = sorted({t_end * j / w for j in range(w + 1)}.union(wanted))
@@ -179,8 +171,9 @@ def _run_chunks(kernel, q_max: int, ts, workers: int, *params) -> dict:
     results = None
     processes = min(w, os.cpu_count() or 1, len(tasks))
     if processes > 1:
+        pools = globals().get("multiprocessing") or __getattr__("multiprocessing")
         try:
-            with multiprocessing.Pool(processes) as pool:
+            with pools.Pool(processes) as pool:
                 results = pool.map(kernel, tasks)
         except OSError as exc:
             warnings.warn(
@@ -193,43 +186,56 @@ def _run_chunks(kernel, q_max: int, ts, workers: int, *params) -> dict:
     return {c: [sum(column) for column in zip(*results[:cuts.index(c)])] for c in wanted}
 
 
-def _walk_sums(kernel, q_max: int, ts, workers: int, *params) -> list:
+def __getattr__(name: str):
+    """`stats.multiprocessing`, imported on first use, so a serial run never loads it.
+
+    The module global it sets is the one `_run_chunks` reads, so replacing
+    `stats.multiprocessing`, or its `Pool`, substitutes the pool.
+    """
+    if name == "multiprocessing":
+        import multiprocessing
+
+        globals()[name] = multiprocessing
+        return multiprocessing
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _term(kernel, q_max: int, c: Fraction, *params) -> list:
+    """f(c), the kernel on the one-element chunk {c}, or on no element if c is not in F_Q.
+
+    The index of c is floor((Q + q')/q) for either neighbor denominator q',
+    so the successor's, which `seek` gives, serves as well.
+    """
+    _, q, _, q_next = seek(q_max, c)
+    return kernel((q_max, *params, q_next, q, int(c.denominator <= q_max)))
+
+
+def _walk_sums(kernel, q_max: int, ts, workers: int, whole, *params) -> list:
     """For each t in `ts`, the elementwise sums of `kernel` over the elements of (0, t].
 
-    For kernels that add up a function f(q, nu) of each element.  The mirror
-    gamma -> 1 - gamma of F_Q keeps the denominator q and the index nu, so
-    only (0, 1/2] is walked.  With P(c) the sums over (0, c] and f(c) the
-    term of c (zero unless c is in F_Q), every element below 1 other than
-    1/2 pairs with its mirror image, and
-        P(1) = f(1) + 2 P(1/2) - f(1/2),
+    For kernels that add up a function f(q, nu) of each element; `whole()`
+    gives the sums over all of F_Q.  The mirror gamma -> 1 - gamma of F_Q
+    keeps the denominator q and the index nu, so with P(c) the sums over
+    (0, c] and f(c) the term of c (zero unless c is in F_Q), the elements of
+    (t, 1) are the mirror images of those of (0, 1 - t), and
         P(t) = P(1) - f(1) - P(1 - t) + f(1 - t)    for 1/2 < t < 1.
+    So only (0, max min(t, 1 - t)] is walked, and t = 1 walks nothing.
     """
-    walked = _run_chunks(kernel, q_max, ts, workers, *params)
+    cuts = {min(t, 1 - t) for t in ts if t < 1}
+    walked = _run_chunks(kernel, q_max, cuts, workers, *params) if cuts else {}
     if max(ts) <= _HALF:
         return [walked[t] for t in ts]
-    half = walked[_HALF]
-
-    def term(c):
-        """f(c), the kernel on the one-element chunk {c}.
-
-        The index of c is floor((Q + q')/q) for either neighbor denominator
-        q', so the successor's, which `seek` gives, serves as well.
-        """
-        if c.denominator > q_max:
-            return [0] * len(half)
-        _, q, _, q_next = seek(q_max, c)
-        return kernel((q_max, *params, q_next, q, 1))
-
-    below_one = [2 * p - f for p, f in zip(half, term(_HALF))]  # P(1) - f(1)
+    total = whole()
     one = kernel((q_max, *params, q_max, 1, 1))  # f(1): 1/1 has neighbors over Q
     sums = []
     for t in ts:
         if t <= _HALF:
             sums.append(walked[t])
         elif t == 1:
-            sums.append([p + f for p, f in zip(below_one, one)])
+            sums.append(total)
         else:
-            sums.append([p - r + f for p, r, f in zip(below_one, walked[1 - t], term(1 - t))])
+            below = _term(kernel, q_max, 1 - t, *params)
+            sums.append([p - o - r + f for p, o, r, f in zip(total, one, walked[1 - t], below)])
     return sums
 
 
@@ -262,14 +268,26 @@ def _cutoffs(ts, allow_zero: bool = False) -> list:
 # ---------------------------------------------------------------------------
 
 def partial_index_sums(q_max: int, ts, workers: int = 1) -> list[int]:
-    """Exact sums of indices over gamma <= t, one per t in `ts`, from one walk of (0, 1/2]."""
+    """Exact sums of indices over gamma <= t, one per t in `ts`, from one walk.
+
+    The walk covers (0, max min(t, 1 - t)]; the sum over all of F_Q is read
+    off the lattice index histogram.
+    """
     ts = _cutoffs(ts, allow_zero=True)
-    return [sum(column) for column in _walk_sums(_chunk_index_sum, q_max, ts, workers)]
+    sums = _walk_sums(_chunk_index_sum, q_max, ts, workers,
+                      lambda: [sum(k * c for k, c in index_histogram(q_max).items())])
+    return [sum(column) for column in sums]
 
 
 def sum_index(q_max: int, workers: int = 1) -> int:
-    """Exact sum of all N(Q) indices; equals 3 N(Q) - 1 identically."""
-    return partial_index_sums(q_max, [1], workers)[0]
+    """Exact sum of all N(Q) indices; equals 3 N(Q) - 1 identically.
+
+    Walked, never read off the lattice, so that `identities` checks the
+    lattice histogram against an independent route: by the mirror, the sum
+    is 2 P(1/2) - nu(1/2) + nu(1) with P(1/2) the sum over (0, 1/2].
+    """
+    half = _run_chunks(_chunk_index_sum, q_max, {_HALF}, workers)[_HALF][0]
+    return 2 * half - _term(_chunk_index_sum, q_max, _HALF)[0] + 2 * q_max  # nu(1/1) = 2Q
 
 
 def partial_index_sum(q_max: int, t, workers: int = 1) -> int:
@@ -362,8 +380,9 @@ def autocorr_sums(q_max: int, lags, ts=(1,), workers: int = 1) -> list[list[int]
     if min(ts) <= _HALF:
         walk_lags.update(reduced)
     distinct = tuple(sorted(walk_lags))
+    cuts = {min(t, 1 - t) for t in ts if t < 1}.union([_HALF] if max(ts) > _HALF else [])
     walked = {c: dict(zip(distinct, sums))
-              for c, sums in _run_chunks(_chunk_autocorr, q_max, ts, workers, distinct).items()}
+              for c, sums in _run_chunks(_chunk_autocorr, q_max, cuts, workers, distinct).items()}
     above = _mirror_autocorr(q_max, n, walked, ts, max(mirrored)) if max(ts) > _HALF else None
     return [
         [walked[t][g] if t <= _HALF else above(g, s, t) for t in ts]
@@ -426,14 +445,32 @@ def autocorr_sum_interval(q_max: int, h: int, t, workers: int = 1) -> int:
 
 
 def lu_count_table(q_max: int, ks, ts=(1,), workers: int = 1) -> list[list[Tuple[int, int]]]:
-    """(L, U) for every k in `ks` (rows) and cutoff t in `ts` (columns), from one walk."""
+    """(L, U) for every k in `ks` (rows) and cutoff t in `ts` (columns), from one walk.
+
+    Every element over q has index floor((2Q+1)/q) - 1 or floor((2Q+1)/q),
+    so an element of index k counts in L(k) iff q <= c_k, with
+    c_k = min(Q, floor((2Q+1)/(k+1))), and every element of index above k
+    has q <= c_k.  Hence, with R = rank(t),
+        L(k) = #{gamma <= t : q <= c_k} - #{i <= R : nu_i > k},
+        U(k) = #{i <= R : nu_i = k} - L(k),
+    where the first count is the rank of t in F_{c_k}.  The walk only counts
+    index values; the counts over all of F_Q are read off the lattice
+    histogram, so t = 1 walks nothing.
+    """
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
     ts = _cutoffs(ts)
     distinct = tuple(sorted(set(ks)))
-    at_t = _walk_sums(_chunk_lu, q_max, ts, workers, distinct)
-    column = {k: 2 * i for i, k in enumerate(distinct)}
-    return [[(counts[column[k]], counts[column[k] + 1]) for counts in at_t] for k in ks]
+    at_t = _walk_sums(_chunk_value_counts, q_max, ts, workers,
+                      lambda: _value_counts(index_histogram(q_max), distinct), distinct)
+    rows = {}
+    for i, k in enumerate(distinct):
+        c = min(q_max, (2 * q_max + 1) // (k + 1))
+        rows[k] = []
+        for below, counts in zip(farey_ranks(c, ts) if c else [0] * len(ts), at_t):
+            low = below - counts[2 * i + 1]
+            rows[k].append((low, counts[2 * i] - low))
+    return [rows[k] for k in ks]
 
 
 def lu_counts(q_max: int, k: int, t=Fraction(1), workers: int = 1) -> Tuple[int, int]:
@@ -506,8 +543,7 @@ def visible_points_count(p: ConvexPolygon, scale: int) -> int:
 # statistics paired with their asymptotic predictions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StatRecord:
+class StatRecord(NamedTuple):
     """One experiment row: exact value next to its predicted leading term."""
 
     order: int

@@ -6,9 +6,10 @@ neighbor-sum quotient, N(Q) from a phi sieve, coprime lattice points from a
 scan of the bounding box, convex hulls from a monotone chain over integer
 points.  The exceptions walk with the package's recurrence: `index_sequence`
 (the index stream over one whole period), `interval_walk` (a walk from
-`seek` that carries numerators) and `full_period_sums`, which sums over the
+`seek` that carries numerators), `full_period_sums`, which sums over the
 whole period, the route the walk statistics replaced by the mirror
-identities.
+identities, and `brute_lu_counts`, the per-element threshold test that the
+index-value counts replaced.
 Areas of unions of polygons come from clipping every pair of pieces with the
 public `clip_convex`, never from the region profiles that
 `star_intersection_area` reads.  The region sweep is redone in `Fraction`
@@ -124,6 +125,29 @@ def brute_lu(q_max, ks, ts):
             ))
         rows.append(row)
     return rows
+
+
+def brute_lu_counts(order, ks, t):
+    """(L, U) per k over gamma <= t, testing every element against its threshold.
+
+    Walks the rank(t) elements from 1/Q on denominators, and counts an
+    element of index k in L(k) if k = floor((2Q+1)/q) - 1 and in U(k) if
+    k = floor((2Q+1)/q).
+    """
+    top = 2 * order + 1
+    low = dict.fromkeys(ks, 0)
+    high = dict.fromkeys(ks, 0)
+    pd, cd = 1, order
+    for _ in range(farey.farey_ranks(order, (t,))[0]):
+        k = (order + pd) // cd
+        if k in low:
+            v = top // cd
+            if k == v - 1:
+                low[k] += 1
+            elif k == v:
+                high[k] += 1
+        pd, cd = cd, k * cd - pd
+    return [(low[k], high[k]) for k in ks]
 
 
 def brute_partial(q_max, ts):

@@ -49,6 +49,28 @@ def test_identities_sieves_one_growing_moebius_table(capsys, monkeypatch):
     assert 121 <= len(farey._mu) <= 2 * 120 + 1
 
 
+def test_identities_walks_the_index_sum(capsys, monkeypatch):
+    # `identities` checks the index sum walk against lattice, so sum_index
+    # walks every order and never reads the lattice histogram
+    walks = []
+    run_chunks = stats._run_chunks
+
+    def counted(kernel, order, *args):
+        walks.append((kernel.__name__, order))
+        return run_chunks(kernel, order, *args)
+
+    monkeypatch.setattr(stats, "_run_chunks", counted)
+    code, out, _ = run_cli(capsys, "identities", "--q", "12")
+    assert code == 0 and "identities: PASS (12/12)" in out
+    assert walks == [("_chunk_index_sum", q) for q in range(1, 13)]
+
+    def no_lattice(q_max):
+        raise AssertionError("sum_index read the lattice histogram")
+
+    monkeypatch.setattr(stats, "index_histogram", no_lattice)
+    assert stats.sum_index(300) == 3 * totient_summatory(300) - 1
+
+
 def test_identities_usage_error(capsys):
     code, out, err = run_cli(capsys, "identities", "--q", "0")
     assert code == 2
@@ -164,6 +186,12 @@ def test_converge_requires_ascending_orders(capsys):
         ("LU", "--q", "50", "--k", ","),
         ("moment", "--q", "50", "--alpha", ","),
         ("S_h", "--q-list", ","),
+        # a repeated value is refused, not computed and printed twice
+        ("partial", "--q-list", "50,50"),
+        ("S_h", "--q", "50", "--h", "1,2,1"),
+        ("LU", "--q", "50", "--k", "3,3"),
+        ("partial", "--q", "50", "--t", "1/2,2/4"),
+        ("moment", "--q", "50", "--alpha", "1,1/2,1"),
     ],
 )
 def test_converge_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
@@ -171,10 +199,23 @@ def test_converge_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
         raise AssertionError("walked before validating")
 
     monkeypatch.setattr(stats, "_run_chunks", no_walk)
+    monkeypatch.setattr(stats, "index_histogram", no_walk)
     code, out, err = run_cli(capsys, "converge", *argv)
     assert code == 2
     assert out == ""
     assert "converge:" in err
+    if argv in _REPEATS:
+        assert f"converge: {_REPEATS[argv]}" in err
+
+
+# the option a repeated value must be reported under
+_REPEATS = {
+    ("partial", "--q-list", "50,50"): "--q-list repeats the value 50",
+    ("S_h", "--q", "50", "--h", "1,2,1"): "--h repeats the value 1",
+    ("LU", "--q", "50", "--k", "3,3"): "--k repeats the value 3",
+    ("partial", "--q", "50", "--t", "1/2,2/4"): "--t repeats the value 1/2",
+    ("moment", "--q", "50", "--alpha", "1,1/2,1"): "--alpha repeats the value 1",
+}
 
 
 @pytest.mark.parametrize(
@@ -199,6 +240,7 @@ def test_converge_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
         ("converge", "S_h", "--q", "0", "--h", "1"),
         ("constants", "--h", ",", "--k", "1"),
         ("constants", "--alpha", ","),
+        ("constants", "--h", "2,1,2"),
     ],
 )
 def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
@@ -221,6 +263,7 @@ _USAGE_MESSAGES = {
     ("converge", "S_h", "--q", "0", "--h", "1"): "every order in --q-list must be >= 1",
     ("constants", "--h", ",", "--k", "1"): "--h needs at least one value",
     ("constants", "--alpha", ","): "--alpha needs at least one value",
+    ("constants", "--h", "2,1,2"): "--h repeats the value 2",
 }
 
 
@@ -297,22 +340,25 @@ def test_workers_default_from_environment(tmp_path, capsys, monkeypatch):
     "argv, kernel",
     [
         (("S_h", "--h", "3,1,2", "--t", "1/2,1,1/3"), "_chunk_autocorr"),
-        (("LU", "--k", "2,1,4", "--t", "2/3,1/4"), "_chunk_lu"),
+        (("LU", "--k", "2,1,4", "--t", "2/3,1/4"), "_chunk_value_counts"),
         (("partial", "--t", "1/2,0,1"), "_chunk_index_sum"),
         (("moment", "--alpha", "1,2,1/2"), None),
         (("moment", "--alpha", "1"), None),
         (("S_h", "--h", "2,5", "--t", "1"), "_chunk_autocorr"),
         (("S_h", "--h", "1", "--t", "4/5,3/5"), "_chunk_autocorr"),
-        (("LU", "--k", "1,3", "--t", "1,5/6"), "_chunk_lu"),
-        (("partial", "--t", "1"), "_chunk_index_sum"),
+        (("LU", "--k", "1,3", "--t", "1,5/6"), "_chunk_value_counts"),
+        (("partial", "--t", "1"), None),
+        (("LU", "--k", "1,3", "--t", "1"), None),
+        (("LU", "--k", "2", "--t", "5/6"), "_chunk_value_counts"),
     ],
 )
 def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
-    # moments are read off the lattice histogram and never walk.  The other
-    # statistics walk (0, 1/2] at most: a cutoff above 1/2 is assembled from
-    # its mirror.  The chunks tile (0, T] with T <= 1/2, every walk starts at
-    # a point seek finds at or below 1/2, and none runs more than the
-    # largest lag past the end of its chunk
+    # moments are read off the lattice histogram and never walk.  S_h walks
+    # (0, 1/2] at most: a cutoff above 1/2 is assembled from its mirror.  LU
+    # and partial take the sums over all of F_Q from the lattice too, so they
+    # walk (0, max min(t, 1 - t)] and t = 1 walks nothing.  The chunks tile
+    # (0, T] exactly, every walk starts at a point seek finds at or below T,
+    # and none runs more than the largest lag past the end of its chunk
     walks, chunks, starts, steps = [], [], [], []
     run_chunks, seek, index_blocks = stats._run_chunks, stats.seek, stats.index_blocks
 
@@ -341,13 +387,19 @@ def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
                            "--workers", "3")
     assert code == 0
     assert walks == ([(kernel, 30), (kernel, 40)] if kernel else [])
-    assert all(t <= Fraction(1, 2) for t in starts)
-    lag = max(map(int, argv[2].split(","))) if argv[1] == "--h" else 0
+    options = dict(zip(argv[1::2], argv[2::2]))
+    ts = [Fraction(t) for t in options.get("--t", "1").split(",")]
+    if argv[0] == "S_h":
+        reach = Fraction(1, 2) if max(ts) > Fraction(1, 2) else max(ts)
+    else:
+        reach = max((min(t, 1 - t) for t in ts if t < 1), default=Fraction(0))
+    assert all(t <= reach for t in starts)
+    lag = max(map(int, options.get("--h", "0").split(",")))
     for q in (30, 40):
-        half = farey.farey_ranks(q, (Fraction(1, 2),))[0]
-        assert sum(count for order, count in chunks if order == q) <= half
+        walked = farey.farey_ranks(q, (reach,))[0] if kernel else 0
+        assert sum(count for order, count in chunks if order == q) == walked
         counts = [count for order, count in steps if order == q]
-        assert sum(counts) <= half + len(counts) * (lag + 1) < totient_summatory(q) * 2 // 3
+        assert sum(counts) <= walked + len(counts) * (lag + 1) < totient_summatory(q) * 2 // 3
 
 
 @pytest.mark.parametrize(

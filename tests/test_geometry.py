@@ -1,5 +1,7 @@
 """Exactness and algebra of the rational geometry layer."""
 
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,8 +10,13 @@ import pytest
 from farey_index import (
     ConvexPolygon,
     EMPTY_POLYGON,
+    FAREY_TRIANGLE,
     GeometryError,
+    OrbitState,
     Point2,
+    PolygonSet,
+    PowerMomentConstant,
+    StatRecord,
     UnimodularMap,
     apply_map,
     clip_convex,
@@ -182,3 +189,37 @@ def test_unimodular_map_rejects_bad_determinant():
         UnimodularMap(1, 0, 0, 2)
     with pytest.raises(GeometryError):
         UnimodularMap(2, 1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: Point2(1, Fraction(1, 2)), "x"),
+        (lambda: UnimodularMap(0, 1, -1, 2), "d"),
+        (lambda: OrbitState((Fraction(1), Fraction(1, 2)), (3,)), "kappas"),
+        (lambda: PolygonSet((FAREY_TRIANGLE, EMPTY_POLYGON)), "pieces"),
+        (lambda: PowerMomentConstant(Fraction(3, 2), 0.0, 1, True), "value"),
+        (lambda: StatRecord(10, "L", "k=1", 3, Fraction(0), math.nan, "k"), "ratio"),
+    ],
+)
+def test_value_objects_compare_hash_and_pickle_by_field(make, field):
+    # equal fields give equal, equally hashed values, a NaN ratio included;
+    # a field cannot be reassigned, and a pickled copy keeps type and fields
+    a, b = make(), make()
+    assert a == b and hash(a) == hash(b)
+    assert repr(a).startswith(f"{type(a).__name__}(") and f"{field}=" in repr(a)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    copy = pickle.loads(pickle.dumps(a))
+    assert type(copy) is type(a) and repr(copy) == repr(a)
+
+
+def test_value_objects_validate_on_construction():
+    assert Point2(1, 2) == Point2(Fraction(1), Fraction(2))
+    assert type(Point2(1, 2).x) is Fraction
+    with pytest.raises(TypeError):
+        Point2(0.5, 1)
+    with pytest.raises(TypeError):
+        UnimodularMap(1.0, 0, 0, 1)
+    assert PolygonSet((EMPTY_POLYGON, FAREY_TRIANGLE, EMPTY_POLYGON)).pieces == (FAREY_TRIANGLE,)
+    assert PolygonSet().pieces == ()

@@ -31,6 +31,7 @@ from conftest import (
     brute_autocorr,
     brute_indices,
     brute_lu,
+    brute_lu_counts,
     brute_partial,
     brute_totient_summatory,
     brute_visible_count,
@@ -94,6 +95,28 @@ def test_mirror_route_matches_full_period_walk_property(q, lags, ks, ts, workers
         assert autocorr_sums(q, lags, ts, workers) == [row[1:] for row in autocorr]
         assert lu_count_table(q, ks, ts, workers) == [row[1:] for row in lu]
         assert partial_index_sums(q, [0] + ts, workers) == partial
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.integers(1, 300),
+    ks=st.lists(st.integers(1, 12), max_size=3),
+    ts=st.lists(
+        st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda t: t > 0),
+        max_size=3,
+    ),
+    workers=st.integers(1, 3),
+)
+def test_lu_counts_match_the_per_element_threshold_test(q, ks, ts, workers):
+    # L(k) = rank of t in F_{c_k} - #{nu > k}, U(k) = #{nu = k} - L(k), the
+    # counts up to t > 1/2 closed by the lattice histogram; k = 1, 2Q (the
+    # index of 1/1) and 2Q + 1 (never an index, c_k = 0), t = 1/2, t > 1/2, 1
+    ks = [1, 2 * q, 2 * q + 1] + ks
+    ts = [Fraction(1, 2), Fraction(3, 4), Fraction(1)] + ts
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stats.os, "cpu_count", lambda: 1)
+        table = lu_count_table(q, ks, ts, workers)
+    assert [list(column) for column in zip(*table)] == [brute_lu_counts(q, ks, t) for t in ts]
 
 
 @settings(max_examples=40, deadline=None)

@@ -313,7 +313,7 @@ def test_pool_processes_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(stats.multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 2)
-    # the walk covers (0, 1/2] and is cut at 1 - 5/7 = 2/7, a multiple of 1/14
+    # the walk covers (0, 1 - 5/7] = (0, 2/7], in seven equal slices
     assert lu_counts(60, 2, F(5, 7), workers=7) == lu_counts(60, 2, F(5, 7))
     assert sizes == [2]  # two processes ...
     assert task_counts == [7]  # ... still running seven chunks

@@ -1,12 +1,16 @@
-"""The benchmark's tracer can still find every function it wraps."""
+"""The benchmark's tracer can still find every function it wraps; the CLI starts light."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.mark.skipif(not TRACER.exists(), reason="perfbench/tracer.py is not in this checkout")
@@ -23,6 +27,18 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(f"farey_index.{module_name}"), name, None))
     ]
     assert missing == []
+
+
+def test_cli_start_imports_no_heavy_modules():
+    # every command pays for what the CLI imports: `dataclasses` (with
+    # `inspect`) and `multiprocessing` cost about 30 ms a process, and only a
+    # pooled walk needs `multiprocessing`.  -S keeps site hooks out of the count
+    code = ("import sys; import farey_index.cli as c; c.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect', 'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_public_surface_is_pinned():
