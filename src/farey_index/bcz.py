@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Tuple, Union
+from typing import Iterator, NamedTuple, Tuple, Union
 
 from .geometry import (
     ConvexPolygon,
@@ -91,30 +91,36 @@ class OrbitState(NamedTuple):
     kappas: Tuple[int, ...]
 
 
+def orbit_steps(den: int, x: int, y: int, r: int) -> Iterator[Tuple[int, int]]:
+    """Iterate the map r times from (x/den, y/den), yielding (Y, kappa) per step.
+
+    The start must lie in the Farey triangle, 0 < x, y <= den < x + y.  Every
+    branch of the map is an integer matrix, so the orbit stays over den:
+    kappa = (den + X) // Y and (X, Y) <- (Y, kappa Y - X).  Y is the new
+    second coordinate, L_{i+1} = Y / den after step i.
+    """
+    for _ in range(r):
+        k = (den + x) // y
+        x, y = y, k * y - x
+        yield y, k
+
+
 def orbit(p: Point2, r: int) -> OrbitState:
     """Iterate the map r times from p, recording the L-recursion and indices.
 
     Satisfies L_{i+1} = kappa_i * L_i - L_{i-1} with L_0 = x, L_1 = y.  The
-    orbit runs on integers (X, Y) over the common denominator D of the start,
-    which the map keeps: k = (D + X) // Y and (X, Y) <- (Y, k Y - X).
+    orbit runs on integers over the common denominator of the start
+    (`orbit_steps`).
     """
     if r < 0:
         raise ValueError("orbit length must be >= 0")
     region_index(p)  # the triangle is invariant, so checking the start suffices
     den = math.lcm(p.x.denominator, p.y.denominator)
-    x = p.x.numerator * (den // p.x.denominator)
-    y = p.y.numerator * (den // p.y.denominator)
-    ys = []
-    kappas = []
-    for _ in range(r):
-        k = (den + x) // y
-        x, y = y, k * y - x
-        kappas.append(k)
+    ys, kappas = [], []
+    for y, k in orbit_steps(den, int(p.x * den), int(p.y * den), r):
         ys.append(y)
-    # built after the loop, not inside it: at r = N(300) the interleaved
-    # version peaked about 0.2 MB higher in max RSS
-    values = (p.x, p.y, *(Fraction(y, den) for y in ys))
-    return OrbitState(values, tuple(kappas))
+        kappas.append(k)
+    return OrbitState((p.x, p.y, *(Fraction(y, den) for y in ys)), tuple(kappas))
 
 
 @lru_cache(maxsize=None)

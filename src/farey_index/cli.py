@@ -8,11 +8,15 @@ Subcommands
     orbit        kappa-sequence dump for a transfer-map orbit
     visible      coprime lattice-point counts against the 6/pi^2 density
 
-Standard output carries data only; progress notes go to standard error.  A
-run manifest (command, parameters, artifact version, wall-clock duration,
-worker count) is written next to --out files, embedded in JSON output, or
-sent to standard error otherwise.  Numeric payloads are deterministic: the
-same manifest reproduces byte-identical data for any worker count.
+Standard output carries data only; progress notes go to standard error.
+Payloads are streamed to standard output or to the --out file, which is
+opened before any work; CSV goes out in blocks of rows, and the `orbit` dump
+is formatted from integers as it is written, so its memory does not grow
+with its length.  A run manifest (command, parameters, artifact version,
+wall-clock duration, worker count) is written next to --out files, embedded
+in JSON output, or sent to standard error otherwise.  Numeric payloads are
+deterministic: the same manifest reproduces byte-identical data for any
+worker count.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -29,7 +34,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__, bcz, stats
-from .geometry import ConvexPolygon, Point2, polygon_area
+from .geometry import ConvexPolygon, polygon_area
 from .stats import StatRecord
 
 
@@ -71,10 +76,23 @@ def _positive_int(text: str) -> int:
 MAX_LAG = 24
 
 
+# Rows per write of a CSV payload.  With an unbuffered standard output
+# (PYTHONUNBUFFERED) every write is a system call, so rows go out in blocks;
+# a block of `orbit` rows holds about 0.25 MB while it is formatted.
+_BLOCK_ROWS = 1024
+
+
+class _UsageError(Exception):
+    """A usage problem found once a command has started: `main` exits 2."""
+
+
 class _Output:
     """Routes the data payload and its manifest per the output options.
 
-    The payload is buffered and written whole by `finish`.
+    The payload is streamed to standard output or to the --out file, which is
+    opened here, before any work; CSV rows go out in blocks of `_BLOCK_ROWS`.
+    `finish` writes the manifest.  Use as a context manager, which closes an
+    --out file also when the command stops early.
     """
 
     def __init__(self, args, command: str, parameters: dict, workers: int = 1):
@@ -84,10 +102,23 @@ class _Output:
         self.parameters = parameters
         self.workers = workers
         self.started = time.monotonic()
-        self.buffer = io.StringIO()
+        self.sink = sys.stdout
+        if self.out_path:
+            try:
+                self.sink = open(self.out_path, "w", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise _UsageError(f"{command}: cannot write --out {self.out_path}: "
+                                  f"{exc.strerror or exc}") from exc
+
+    def __enter__(self) -> "_Output":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.out_path:
+            self.sink.close()
 
     def write(self, text: str) -> None:
-        self.buffer.write(text)
+        self.sink.write(text)
 
     def manifest(self) -> dict:
         return {
@@ -102,10 +133,14 @@ class _Output:
         """A header and rows: CSV, or JSON {"rows": [...], "manifest": ...}."""
         if self.format == "json":
             self.write_document({"rows": [dict(zip(header, row)) for row in rows]})
-        else:
-            writer = csv.writer(self.buffer, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            return
+        rows = iter(rows)
+        block = [header, *itertools.islice(rows, _BLOCK_ROWS)]
+        while block:
+            text = io.StringIO()
+            csv.writer(text, lineterminator="\n").writerows(block)
+            self.write(text.getvalue())
+            block = list(itertools.islice(rows, _BLOCK_ROWS))
 
     def write_document(self, document: dict) -> None:
         """One JSON document, with the manifest embedded."""
@@ -113,16 +148,13 @@ class _Output:
         self.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
     def finish(self) -> None:
-        payload = self.buffer.getvalue()
         manifest = json.dumps(self.manifest(), sort_keys=True)
         if self.out_path:
-            with open(self.out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
+            self.sink.close()
             with open(self.out_path + ".manifest.json", "w", encoding="utf-8") as fh:
                 fh.write(manifest + "\n")
         else:
-            sys.stdout.write(payload)
-            sys.stdout.flush()
+            self.sink.flush()
             print(f"manifest: {manifest}", file=sys.stderr)
 
 
@@ -141,31 +173,31 @@ def cmd_identities(args) -> int:
     if args.format == "json":
         _progress("identities: --format json is not supported; the report is plain text")
         return 2
-    out = _Output(args, "identities", {"q_max": args.q})
-    failures = []
-    for q in range(1, args.q + 1):
-        n = stats.totient_summatory(q)
-        expected = 3 * n - 1
-        # the index sum by two independent routes: the walk and the lattice histogram
-        total = stats.sum_index(q)
-        if total != expected:
-            failures.append((q, f"index sum {total} != {expected}"))
-        hist = stats.index_histogram(q)
-        count, weighted = sum(hist.values()), sum(k * c for k, c in hist.items())
-        if (count, weighted) != (n, expected):
-            failures.append((q, f"lattice histogram has {count} elements and index sum "
-                                f"{weighted}, not {n} and {expected}"))
-        lhs, rhs = stats.hall_shiu_identity(q)
-        if lhs != rhs:
-            failures.append((q, f"count identity {lhs} != {rhs}"))
-    lhs1, rhs1 = stats.hall_shiu_identity(1)
-    out.write(f"# Q=1 boundary: count identity gives {lhs1} == {rhs1} (holds)\n")
-    for q, message in failures:
-        out.write(f"Q={q}: {message}\n")
-    failed = len({q for q, _ in failures})
-    verdict = "PASS" if not failures else "FAIL"
-    out.write(f"identities: {verdict} ({args.q - failed}/{args.q})\n")
-    out.finish()
+    with _Output(args, "identities", {"q_max": args.q}) as out:
+        failures = []
+        for q in range(1, args.q + 1):
+            n = stats.totient_summatory(q)
+            expected = 3 * n - 1
+            # the index sum by two independent routes: the walk and the lattice histogram
+            total = stats.sum_index(q)
+            if total != expected:
+                failures.append((q, f"index sum {total} != {expected}"))
+            hist = stats.index_histogram(q)
+            count, weighted = sum(hist.values()), sum(k * c for k, c in hist.items())
+            if (count, weighted) != (n, expected):
+                failures.append((q, f"lattice histogram has {count} elements and index sum "
+                                    f"{weighted}, not {n} and {expected}"))
+            lhs, rhs = stats.hall_shiu_identity(q)
+            if lhs != rhs:
+                failures.append((q, f"count identity {lhs} != {rhs}"))
+        lhs1, rhs1 = stats.hall_shiu_identity(1)
+        out.write(f"# Q=1 boundary: count identity gives {lhs1} == {rhs1} (holds)\n")
+        for q, message in failures:
+            out.write(f"Q={q}: {message}\n")
+        failed = len({q for q, _ in failures})
+        verdict = "PASS" if not failures else "FAIL"
+        out.write(f"identities: {verdict} ({args.q - failed}/{args.q})\n")
+        out.finish()
     return 0 if not failures else 1
 
 
@@ -190,52 +222,52 @@ def cmd_constants(args) -> int:
     h_list = args.h or [1]
     alpha_list = args.alpha or []
     k_max = args.k or 1
-    out = _Output(
+    with _Output(
         args,
         "constants",
         {"h": h_list, "alpha": [str(a) for a in alpha_list], "k_max": k_max, "tol": args.tol},
-    )
-    data: dict = {"A": {}, "B": {}, "frequencies": []}
-    exit_code = 0
-    try:
-        for h in h_list:
-            _progress(f"computing A({h}) ...")
-            data["A"][str(h)] = str(bcz.autocorrelation_constant(h))
-        for alpha in alpha_list:
-            result = bcz.b_alpha(alpha, tol=args.tol)
-            data["B"][str(alpha)] = {
-                "value": str(result.value) if result.exact else _real(result.value),
-                "tail_bound": _real(result.tail_bound),
-                "terms": result.terms,
-                "exact": result.exact,
-            }
-        closed_l = lambda k: 4 * (Fraction(1, (k + 1) ** 2) - Fraction(1, k + 1) + Fraction(1, k + 2))
-        closed_u = lambda k: Fraction(0) if k == 1 else 4 * (
-            Fraction(1, k) - Fraction(1, k + 1) - Fraction(1, (k + 1) ** 2)
-        )
-        for k in range(1, k_max + 1):
-            l_k = bcz.lower_frequency(k)
-            u_k = bcz.upper_frequency(k)
-            if l_k != closed_l(k) or u_k != closed_u(k):
-                _progress(f"frequency mismatch against closed form at k={k}")
-                exit_code = 1
-            data["frequencies"].append({"k": k, "l": str(l_k), "u": str(u_k)})
-    except bcz.TailCertificateError as exc:
-        _progress(f"tail certificate failure: {exc}")
-        return 1
+    ) as out:
+        data: dict = {"A": {}, "B": {}, "frequencies": []}
+        exit_code = 0
+        try:
+            for h in h_list:
+                _progress(f"computing A({h}) ...")
+                data["A"][str(h)] = str(bcz.autocorrelation_constant(h))
+            for alpha in alpha_list:
+                result = bcz.b_alpha(alpha, tol=args.tol)
+                data["B"][str(alpha)] = {
+                    "value": str(result.value) if result.exact else _real(result.value),
+                    "tail_bound": _real(result.tail_bound),
+                    "terms": result.terms,
+                    "exact": result.exact,
+                }
+            closed_l = lambda k: 4 * (Fraction(1, (k + 1) ** 2) - Fraction(1, k + 1) + Fraction(1, k + 2))
+            closed_u = lambda k: Fraction(0) if k == 1 else 4 * (
+                Fraction(1, k) - Fraction(1, k + 1) - Fraction(1, (k + 1) ** 2)
+            )
+            for k in range(1, k_max + 1):
+                l_k = bcz.lower_frequency(k)
+                u_k = bcz.upper_frequency(k)
+                if l_k != closed_l(k) or u_k != closed_u(k):
+                    _progress(f"frequency mismatch against closed form at k={k}")
+                    exit_code = 1
+                data["frequencies"].append({"k": k, "l": str(l_k), "u": str(u_k)})
+        except bcz.TailCertificateError as exc:
+            _progress(f"tail certificate failure: {exc}")
+            return 1
 
-    if args.format == "json":
-        out.write_document(data)
-    else:
-        for h in h_list:
-            out.write(f"A({h}) = {data['A'][str(h)]}\n")
-        for alpha in alpha_list:
-            entry = data["B"][str(alpha)]
-            suffix = " (exact)" if entry["exact"] else f" +/- {entry['tail_bound']}"
-            out.write(f"B({alpha}) = {entry['value']}{suffix}\n")
-        for row in data["frequencies"]:
-            out.write(f"l({row['k']}) = {row['l']}\tu({row['k']}) = {row['u']}\n")
-    out.finish()
+        if args.format == "json":
+            out.write_document(data)
+        else:
+            for h in h_list:
+                out.write(f"A({h}) = {data['A'][str(h)]}\n")
+            for alpha in alpha_list:
+                entry = data["B"][str(alpha)]
+                suffix = " (exact)" if entry["exact"] else f" +/- {entry['tail_bound']}"
+                out.write(f"B({alpha}) = {entry['value']}{suffix}\n")
+            for row in data["frequencies"]:
+                out.write(f"l({row['k']}) = {row['l']}\tu({row['k']}) = {row['u']}\n")
+        out.finish()
     return exit_code
 
 
@@ -243,18 +275,18 @@ def cmd_tables(args) -> int:
     if not 1 <= args.h <= MAX_LAG or args.M < 2:
         _progress(f"tables: need --h in [1, {MAX_LAG}] and --M >= 2")
         return 2
-    out = _Output(args, "tables", {"h": args.h, "M": args.M})
-    _progress(f"computing {args.M}x{args.M} star-intersection table for h={args.h} ...")
-    table = bcz.intersection_area_table(args.h, args.M)
-    symmetric = all(
-        table[m][n] == table[n][m] for m in range(args.M) for n in range(m + 1, args.M)
-    )
-    if args.format == "json":
-        out.write_document({"h": args.h, "entries": [[str(v) for v in row] for row in table]})
-    else:
-        out.write_rows(["m/n"] + [str(n) for n in range(1, args.M + 1)],
-                       ([str(m + 1)] + [str(v) for v in row] for m, row in enumerate(table)))
-    out.finish()
+    with _Output(args, "tables", {"h": args.h, "M": args.M}) as out:
+        _progress(f"computing {args.M}x{args.M} star-intersection table for h={args.h} ...")
+        table = bcz.intersection_area_table(args.h, args.M)
+        symmetric = all(
+            table[m][n] == table[n][m] for m in range(args.M) for n in range(m + 1, args.M)
+        )
+        if args.format == "json":
+            out.write_document({"h": args.h, "entries": [[str(v) for v in row] for row in table]})
+        else:
+            out.write_rows(["m/n"] + [str(n) for n in range(1, args.M + 1)],
+                           ([str(m + 1)] + [str(v) for v in row] for m, row in enumerate(table)))
+        out.finish()
     if not symmetric:
         _progress("tables: symmetry violation in computed table")
         return 1
@@ -298,7 +330,7 @@ def cmd_converge(args) -> int:
         _progress(f"converge: {problem}")
         return 2
     workers = args.workers
-    out = _Output(
+    with _Output(
         args,
         "converge",
         {
@@ -310,48 +342,48 @@ def cmd_converge(args) -> int:
             "t": [str(t) for t in (args.t or [])],
         },
         workers=workers,
-    )
-    records: list[StatRecord] = []
-    ts = args.t or [Fraction(1)]
-    for q in q_list:
-        _progress(f"converge {args.stat}: Q={q}")
-        if args.stat == "S_h":
-            records.extend(stats.autocorr_records(q, args.h or [1], ts, workers=workers))
-        elif args.stat == "moment":
-            records.extend(stats.moment_records(q, args.alpha or [Fraction(1)]))
-        elif args.stat == "LU":
-            records.extend(stats.lu_table_records(q, args.k or [1], ts, workers=workers))
-        else:
-            records.extend(stats.partial_records(q, ts, workers=workers))
+    ) as out:
+        records: list[StatRecord] = []
+        ts = args.t or [Fraction(1)]
+        for q in q_list:
+            _progress(f"converge {args.stat}: Q={q}")
+            if args.stat == "S_h":
+                records.extend(stats.autocorr_records(q, args.h or [1], ts, workers=workers))
+            elif args.stat == "moment":
+                records.extend(stats.moment_records(q, args.alpha or [Fraction(1)]))
+            elif args.stat == "LU":
+                records.extend(stats.lu_table_records(q, args.k or [1], ts, workers=workers))
+            else:
+                records.extend(stats.partial_records(q, ts, workers=workers))
 
-    rows = []
-    for rec in records:
-        prediction = (
-            str(rec.prediction)
-            if isinstance(rec.prediction, Fraction)
-            else _real(rec.prediction)
-        )
-        abs_dev = abs(rec.ratio - 1) if not math.isnan(rec.ratio) else math.nan
-        exact = (
-            str(rec.exact_value)
-            if isinstance(rec.exact_value, (int, Fraction))
-            else _real(rec.exact_value)
-        )
-        rows.append(
-            [
-                rec.order,
-                rec.stat,
-                rec.parameter,
-                exact,
-                prediction,
-                _real(rec.ratio),
-                _real(abs_dev),
-                rec.error_bound_form,
-            ]
-        )
-    out.write_rows(["Q", "stat", "param", "exact", "prediction", "ratio", "abs_dev", "error_bound"],
-                   rows)
-    out.finish()
+        rows = []
+        for rec in records:
+            prediction = (
+                str(rec.prediction)
+                if isinstance(rec.prediction, Fraction)
+                else _real(rec.prediction)
+            )
+            abs_dev = abs(rec.ratio - 1) if not math.isnan(rec.ratio) else math.nan
+            exact = (
+                str(rec.exact_value)
+                if isinstance(rec.exact_value, (int, Fraction))
+                else _real(rec.exact_value)
+            )
+            rows.append(
+                [
+                    rec.order,
+                    rec.stat,
+                    rec.parameter,
+                    exact,
+                    prediction,
+                    _real(rec.ratio),
+                    _real(abs_dev),
+                    rec.error_bound_form,
+                ]
+            )
+        out.write_rows(["Q", "stat", "param", "exact", "prediction", "ratio", "abs_dev", "error_bound"],
+                       rows)
+        out.finish()
     return 0
 
 
@@ -373,14 +405,31 @@ def cmd_orbit(args) -> int:
         _progress("orbit: --r must be >= 0")
         return 2
     r = args.r if args.r is not None else (stats.totient_summatory(args.q) if args.q else 10)
-    out = _Output(args, "orbit", {"x": str(start[0]), "y": str(start[1]), "r": r})
-    state = bcz.orbit(Point2(Fraction(start[0]), Fraction(start[1])), r)
-    out.write_rows(["i", "L_i", "kappa_i"],
-                   ([i, str(value), str(state.kappas[i - 1]) if 1 <= i <= len(state.kappas) else ""]
-                    for i, value in enumerate(state.L)))
-    del state  # N(Q) Fractions: free them before the payload is joined
-    out.finish()
+    with _Output(args, "orbit", {"x": str(start[0]), "y": str(start[1]), "r": r}) as out:
+        out.write_rows(["i", "L_i", "kappa_i"], _orbit_rows(*start, r))
+        out.finish()
     return 0
+
+
+def _orbit_rows(x: Fraction, y: Fraction, r: int):
+    """The rows (i, L_i, kappa_i), i = 0..r+1, of the orbit of (x, y), one at a time.
+
+    L_i = Y/D over the start's common denominator D is printed in lowest
+    terms as `str(Fraction)` prints it, without building the Fraction.
+    """
+    den = math.lcm(x.denominator, y.denominator)
+
+    def ratio(n: int) -> str:
+        g = math.gcd(n, den)
+        return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+    x0, y0 = int(x * den), int(y * den)
+    yield 0, ratio(x0), ""
+    last = y0  # row i pairs L_i with kappa_i, the index of the step from (L_{i-1}, L_i)
+    for i, (y_next, k) in enumerate(bcz.orbit_steps(den, x0, y0, r), 1):
+        yield i, ratio(last), k
+        last = y_next
+    yield r + 1, ratio(last), ""
 
 
 def cmd_visible(args) -> int:
@@ -402,14 +451,14 @@ def cmd_visible(args) -> int:
     else:
         region = bcz.FAREY_TRIANGLE
         label = "triangle"
-    out = _Output(args, "visible", {"region": label, "scale": args.scale})
-    count = stats.visible_points_count(region, args.scale)
-    area = polygon_area(region)
-    predicted = 6 * float(area) * args.scale**2 / math.pi**2
-    ratio = count / predicted if predicted else math.nan
-    out.write_rows(["region", "scale", "count", "area", "predicted", "ratio"],
-                   [[label, args.scale, count, str(area), _real(predicted), _real(ratio)]])
-    out.finish()
+    with _Output(args, "visible", {"region": label, "scale": args.scale}) as out:
+        count = stats.visible_points_count(region, args.scale)
+        area = polygon_area(region)
+        predicted = 6 * float(area) * args.scale**2 / math.pi**2
+        ratio = count / predicted if predicted else math.nan
+        out.write_rows(["region", "scale", "count", "area", "predicted", "ratio"],
+                       [[label, args.scale, count, str(area), _real(predicted), _real(ratio)]])
+        out.finish()
     return 0
 
 
@@ -506,6 +555,9 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.fn(args)
+    except _UsageError as exc:
+        _progress(str(exc))
+        return 2
     except (ValueError, bcz.TailCertificateError) as exc:
         _progress(f"error: {exc}")
         return 1

@@ -5,11 +5,12 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from farey_index.cli import MAX_LAG, main
+from farey_index.cli import _BLOCK_ROWS, MAX_LAG, main
 from farey_index import bcz, farey, stats, totient_summatory
 
 
@@ -248,7 +249,8 @@ def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
         raise AssertionError("computed before validating")
 
     for module, name in ((stats, "visible_points_count"), (bcz, "autocorrelation_constant"),
-                         (bcz, "b_alpha"), (bcz, "orbit"), (bcz, "intersection_area_table")):
+                         (bcz, "b_alpha"), (bcz, "orbit"), (bcz, "orbit_steps"),
+                         (bcz, "intersection_area_table")):
         monkeypatch.setattr(module, name, no_work)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -524,13 +526,82 @@ def test_orbit_dump(capsys):
     assert [r[1] for r in rows[1:]] == ["1", "1", "1", "1", "1"]
 
 
+def test_orbit_out_file_matches_stdout(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "orbit", "--q", "30")
+    assert code == 0
+    out_file = tmp_path / "orbit.csv"
+    code, printed, _ = run_cli(capsys, "orbit", "--q", "30", "--out", str(out_file))
+    assert code == 0 and printed == ""
+    assert out_file.read_bytes() == out.encode("utf-8")
+    manifest = json.loads((tmp_path / "orbit.csv.manifest.json").read_text())
+    assert manifest["command"] == "orbit"
+    assert manifest["parameters"] == {"x": "1/30", "y": "1", "r": totient_summatory(30)}
+
+
+class _DiscardingStdout:
+    """A standard output that keeps only the number of writes."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+
+    def flush(self):
+        pass
+
+
+def test_orbit_streams_in_bounded_memory(monkeypatch):
+    # the rows are formatted and written a block at a time: nothing of size
+    # N(Q) ~ 0.3 Q^2 is held, and there is one write per block, not per row
+    sink = _DiscardingStdout()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["orbit", "--q", "600"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2_000_000
+    rows = totient_summatory(600) + 3  # the header and rows 0..N(Q) + 1
+    assert sink.writes == math.ceil(rows / _BLOCK_ROWS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orbit", "--q", "5"),
+        ("converge", "partial", "--q-list", "50", "--t", "1/3"),
+        ("identities", "--q", "5"),
+        ("constants", "--h", "1"),
+        ("tables", "--h", "1", "--M", "2"),
+        ("visible", "--scale", "5"),
+    ],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before opening --out")
+
+    for module, name in ((stats, "partial_records"), (stats, "sum_index"),
+                         (stats, "visible_points_count"), (bcz, "autocorrelation_constant"),
+                         (bcz, "intersection_area_table"), (bcz, "orbit"), (bcz, "orbit_steps")):
+        monkeypatch.setattr(module, name, no_work)
+    path = tmp_path / "missing" / "payload.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{argv[0]}: cannot write --out {path}: No such file or directory" in err
+    assert not path.parent.exists()
+
+
 @pytest.mark.parametrize("argv", [("identities", "--q", "5"), ("orbit", "--q", "5")])
 def test_json_format_is_a_usage_error_where_unsupported(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("computed before validating")
 
     for module, name in ((stats, "sum_index"), (stats, "index_histogram"),
-                         (stats, "hall_shiu_identity"), (bcz, "orbit")):
+                         (stats, "hall_shiu_identity"), (bcz, "orbit"), (bcz, "orbit_steps")):
         monkeypatch.setattr(module, name, no_work)
     code, out, err = run_cli(capsys, *argv, "--format", "json")
     assert code == 2

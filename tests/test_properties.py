@@ -1,15 +1,19 @@
 """Property tests: random parameters against the brute-force oracles."""
 
+import csv
+import io
 import math
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from farey_index import cli
 from farey_index import (
     ConvexPolygon,
     Point2,
@@ -241,6 +245,21 @@ def test_integer_orbit_matches_fraction_steps(start, r):
         kappas.append(k)
     assert state.L == tuple(values)
     assert state.kappas == tuple(kappas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=triangle_points(), r=st.integers(0, 200))
+@example(start=(Fraction(1), Fraction(1)), r=5)
+def test_orbit_dump_matches_the_orbit(start, r):
+    # the CLI formats L_i from integers over the start's common denominator
+    x, y = start
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        assert cli.main(["orbit", "--x", str(x), "--y", str(y), "--r", str(r)]) == 0
+    state = bcz.orbit(Point2(x, y), r)
+    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    assert rows[0] == ["i", "L_i", "kappa_i"]
+    assert rows[1:] == [[str(i), str(value), str(k)] for i, (value, k)
+                        in enumerate(zip(state.L, ("", *state.kappas, "")))]
 
 
 @settings(max_examples=40, deadline=None)
