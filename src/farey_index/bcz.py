@@ -37,8 +37,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Tuple, Union
+from itertools import chain
+from typing import NamedTuple, Tuple, Union
 
+from .farey import index_blocks
 from .geometry import (
     ConvexPolygon,
     GeometryError,
@@ -91,36 +93,22 @@ class OrbitState(NamedTuple):
     kappas: Tuple[int, ...]
 
 
-def orbit_steps(den: int, x: int, y: int, r: int) -> Iterator[Tuple[int, int]]:
-    """Iterate the map r times from (x/den, y/den), yielding (Y, kappa) per step.
-
-    The start must lie in the Farey triangle, 0 < x, y <= den < x + y.  Every
-    branch of the map is an integer matrix, so the orbit stays over den:
-    kappa = (den + X) // Y and (X, Y) <- (Y, kappa Y - X).  Y is the new
-    second coordinate, L_{i+1} = Y / den after step i.
-    """
-    for _ in range(r):
-        k = (den + x) // y
-        x, y = y, k * y - x
-        yield y, k
-
-
 def orbit(p: Point2, r: int) -> OrbitState:
     """Iterate the map r times from p, recording the L-recursion and indices.
 
-    Satisfies L_{i+1} = kappa_i * L_i - L_{i-1} with L_0 = x, L_1 = y.  The
-    orbit runs on integers over the common denominator of the start
-    (`orbit_steps`).
+    Satisfies L_{i+1} = kappa_i * L_i - L_{i-1} with L_0 = x, L_1 = y.  Over
+    the common denominator D of the start the orbit is the Farey recurrence of
+    order D, kappa = (D + X) // Y, so the kappas are `index_blocks(D, X, Y, r)`.
     """
     if r < 0:
         raise ValueError("orbit length must be >= 0")
     region_index(p)  # the triangle is invariant, so checking the start suffices
     den = math.lcm(p.x.denominator, p.y.denominator)
-    ys, kappas = [], []
-    for y, k in orbit_steps(den, int(p.x * den), int(p.y * den), r):
-        ys.append(y)
-        kappas.append(k)
-    return OrbitState((p.x, p.y, *(Fraction(y, den) for y in ys)), tuple(kappas))
+    ls = [int(p.x * den), int(p.y * den)]
+    kappas = tuple(chain.from_iterable(index_blocks(den, *ls, r)))
+    for k in kappas:
+        ls.append(k * ls[-1] - ls[-2])
+    return OrbitState((p.x, p.y, *(Fraction(y, den) for y in ls[2:])), kappas)
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,7 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from . import __version__, bcz, stats
+from . import __version__, bcz, farey, stats
 from .geometry import ConvexPolygon, polygon_area
 from .stats import StatRecord
 
@@ -59,13 +59,18 @@ def _parse_fraction_list(text: str) -> list[Fraction]:
     return [_parse_fraction(part) for part in text.split(",") if part]
 
 
-def _positive_int(text: str) -> int:
+# The most chunks --workers may cut a walk into: every chunk costs a Farey rank
+# and a seek, O(Q) each, before any walk (256 add about 0.15 s at Q = 3000).
+MAX_WORKERS = 256
+
+
+def _worker_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    if not 1 <= value <= MAX_WORKERS:
+        raise argparse.ArgumentTypeError(f"not a positive integer <= {MAX_WORKERS}: {text!r}")
     return value
 
 
@@ -414,8 +419,9 @@ def cmd_orbit(args) -> int:
 def _orbit_rows(x: Fraction, y: Fraction, r: int):
     """The rows (i, L_i, kappa_i), i = 0..r+1, of the orbit of (x, y), one at a time.
 
-    L_i = Y/D over the start's common denominator D is printed in lowest
-    terms as `str(Fraction)` prints it, without building the Fraction.
+    As in `bcz.orbit`, L_i = Y/D over the start's common denominator D, and
+    L_{i+1} = kappa_i L_i - L_{i-1}; it is printed in lowest terms as
+    `str(Fraction)` prints it, without building the Fraction.
     """
     den = math.lcm(x.denominator, y.denominator)
 
@@ -423,12 +429,13 @@ def _orbit_rows(x: Fraction, y: Fraction, r: int):
         g = math.gcd(n, den)
         return str(n // g) if g == den else f"{n // g}/{den // g}"
 
-    x0, y0 = int(x * den), int(y * den)
-    yield 0, ratio(x0), ""
-    last = y0  # row i pairs L_i with kappa_i, the index of the step from (L_{i-1}, L_i)
-    for i, (y_next, k) in enumerate(bcz.orbit_steps(den, x0, y0, r), 1):
+    before, last = int(x * den), int(y * den)
+    yield 0, ratio(before), ""
+    # row i pairs L_i with kappa_i, the index of the step from (L_{i-1}, L_i)
+    kappas = itertools.chain.from_iterable(farey.index_blocks(den, before, last, r))
+    for i, k in enumerate(kappas, 1):
         yield i, ratio(last), k
-        last = y_next
+        before, last = last, k * last - before
     yield r + 1, ratio(last), ""
 
 
@@ -480,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--workers",
-            type=_positive_int,
+            type=_worker_count,
             default=os.environ.get("FAREY_INDEX_WORKERS", "1"),
             help="subinterval chunk count (default $FAREY_INDEX_WORKERS or 1)",
         )

@@ -47,6 +47,8 @@ def seek(order: int, t) -> Tuple[int, int, int, int]:
     mediant steps (O(log Q) iterations), the right neighbor by the modular
     reconstruction of consecutive pairs.
     """
+    if order < 1:
+        raise ValueError("order must be >= 1")
     t = Fraction(t)
     if not (0 <= t <= 1):
         raise ValueError("t must lie in [0, 1]")

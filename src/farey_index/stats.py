@@ -18,27 +18,31 @@ The walk route reads the denominator-only recurrence (one division per
 element) through the stream `farey.index_blocks`.  It serves what is not a
 function of (q', q) alone: the index sum and its partial sums up to a cutoff
 t, the autocorrelations S_{h,t} and the threshold counts (L, U).  Each of
-these walks F_Q once per order Q, however many parameters are asked for, and
-walks at most half of it: the mirror gamma -> 1 - gamma keeps denominators
-and indices (nu_{N-i} = nu_i), so a cutoff t > 1/2 is assembled exactly from
-the sums up to 1 - t and over a whole period.  The partial sums and (L, U)
-take the whole-period sums from the lattice histogram: they walk
-(0, max min(t, 1 - t)], and t = 1 walks nothing.  The whole index sum
-`sum_index` is still walked, over (0, 1/2], so that it checks the lattice
-histogram by an independent route.  (L, U) needs only counts
-of index values from the walk, because every element over q has index
-floor((2Q+1)/q) - 1 or floor((2Q+1)/q) and the denominators below a bound
-are counted by a Farey rank.  S_{h,t} takes its whole period from the walk
-of (0, 1/2] with the lookahead max(h) of the lags; the mirror corrections
-read the few indices within max(h) + 1 of a cut.  The walk is split into
-chunks at `workers` equal slices of its range and at every min(t, 1 - t).
-Each chunk starts from the denominators `seek` finds at its left end and
-runs for an exact step count, the difference of the Farey ranks of its two
-ends, so no kernel carries numerators or compares fractions; a serial run
-has one chunk per cut.  The value at a cut is the sum of the chunk results
-up to it.  Partial results merge associatively, so results are identical
-for every chunk count, which is what makes the `workers` parameter a pure
-throughput knob."""
+these walks F_Q at most once per order Q, however many parameters are asked
+for, and never past 1/2 but for the lookahead of the lags: the mirror
+gamma -> 1 - gamma keeps denominators and indices, nu_{N-i} = nu_i with
+nu_0 = nu_N = 2Q.  Let W(c) sum phi_i over the positions 1 <= i <= rank(c),
+and T(c, m) over the m positions that end at rank(c).  The index sums and
+the counts of index values take phi_i = f(nu_i) and d = 0.  S_h, with
+g = h mod N, walks the lag s = min(g, N - g), phi_i = nu_i nu_{i+s}, with
+d = s if g = s and d = 0 if g = N - s.  Then for every c in [0, 1]
+    W(1 - c) = W(1) - T(0, d + 1) - W(c) + T(c, d + [c in F_Q]),
+where for S_h the left side sums nu_i nu_{i+g}.  At c = 1/2 it gives the
+whole period (S_s with d = s) from the walk of (0, 1/2], and at c = 1 - t
+every 1/2 < t < 1 from the walk of (0, 1 - t].  The partial sums and (L, U)
+read W(1) off the lattice histogram instead, so t = 1 walks nothing;
+`sum_index` walks, so that it checks the lattice by an independent route.
+(L, U) needs only counts of index values from the walk, because every
+element over q has index floor((2Q+1)/q) - 1 or floor((2Q+1)/q) and the
+denominators below a bound are counted by a Farey rank.  The walk is split
+into chunks at `workers` equal slices of its range and at every
+min(t, 1 - t).  Each chunk starts from the denominators `seek` finds at its
+left end and runs for an exact step count, the difference of the Farey
+ranks of its two ends, so no kernel carries numerators or compares
+fractions; a serial run has one chunk per cut.  The value at a cut is the
+sum of the chunk results up to it.  Partial results merge associatively, so
+results are identical for every chunk count, which is what makes the
+`workers` parameter a pure throughput knob."""
 
 from __future__ import annotations
 
@@ -160,16 +164,15 @@ def _run_chunks(kernel, q_max: int, wanted, workers: int, *params) -> dict:
     host has CPUs; the chunks, and so every merged result, do not depend on
     it.  `multiprocessing` is imported only when a pool starts.
     """
-    w = max(1, int(workers))
     t_end = max(wanted)
-    cuts = sorted({t_end * j / w for j in range(w + 1)}.union(wanted))
+    cuts = sorted({t_end * j / workers for j in range(workers + 1)}.union(wanted))
     ranks = farey_ranks(q_max, cuts)
     tasks = []
     for t0, r0, r1 in zip(cuts, ranks, ranks[1:]):
         _, pd, _, cd = seek(q_max, t0)
         tasks.append((q_max, *params, pd, cd, r1 - r0))
     results = None
-    processes = min(w, os.cpu_count() or 1, len(tasks))
+    processes = min(workers, os.cpu_count() or 1, len(tasks))
     if processes > 1:
         pools = globals().get("multiprocessing") or __getattr__("multiprocessing")
         try:
@@ -201,42 +204,41 @@ def __getattr__(name: str):
 
 
 def _term(kernel, q_max: int, c: Fraction, *params) -> list:
-    """f(c), the kernel on the one-element chunk {c}, or on no element if c is not in F_Q.
+    """T(c, [c in F_Q]): the kernel on the one-element chunk {c}, or on none if c is not in F_Q.
 
     The index of c is floor((Q + q')/q) for either neighbor denominator q',
-    so the successor's, which `seek` gives, serves as well.
+    so the successor's, which `seek` gives, serves as well; 0/1 has index 2Q.
     """
     _, q, _, q_next = seek(q_max, c)
     return kernel((q_max, *params, q_next, q, int(c.denominator <= q_max)))
 
 
+def _mirror(head, walked, tail):
+    """W(1 - c) - W(1) from head = T(0, d + 1), walked = W(c), tail = T(c, d + [c in F_Q]).
+
+    The mirror identity of the module docstring; at c = 1/2 it reads
+    W(1) = W(1/2) - _mirror(...).
+    """
+    return tail - head - walked
+
+
 def _walk_sums(kernel, q_max: int, ts, workers: int, whole, *params) -> list:
     """For each t in `ts`, the elementwise sums of `kernel` over the elements of (0, t].
 
-    For kernels that add up a function f(q, nu) of each element; `whole()`
-    gives the sums over all of F_Q.  The mirror gamma -> 1 - gamma of F_Q
-    keeps the denominator q and the index nu, so with P(c) the sums over
-    (0, c] and f(c) the term of c (zero unless c is in F_Q), the elements of
-    (t, 1) are the mirror images of those of (0, 1 - t), and
-        P(t) = P(1) - f(1) - P(1 - t) + f(1 - t)    for 1/2 < t < 1.
-    So only (0, max min(t, 1 - t)] is walked, and t = 1 walks nothing.
+    For kernels that add up a function of the index of each element, so
+    d = 0; `whole()` gives the sums over all of F_Q.  Only
+    (0, max min(t, 1 - t)] is walked, and t = 1 walks nothing.
     """
     cuts = {min(t, 1 - t) for t in ts if t < 1}
-    walked = _run_chunks(kernel, q_max, cuts, workers, *params) if cuts else {}
-    if max(ts) <= _HALF:
-        return [walked[t] for t in ts]
-    total = whole()
-    one = kernel((q_max, *params, q_max, 1, 1))  # f(1): 1/1 has neighbors over Q
-    sums = []
-    for t in ts:
-        if t <= _HALF:
-            sums.append(walked[t])
-        elif t == 1:
-            sums.append(total)
-        else:
-            below = _term(kernel, q_max, 1 - t, *params)
-            sums.append([p - o - r + f for p, o, r, f in zip(total, one, walked[1 - t], below)])
-    return sums
+    sums = _run_chunks(kernel, q_max, cuts, workers, *params) if cuts else {}
+    if max(ts) > _HALF:
+        sums[Fraction(1)] = total = whole()
+        head = _term(kernel, q_max, Fraction(0), *params)
+        for t in ts:
+            if _HALF < t < 1:
+                tail = _term(kernel, q_max, 1 - t, *params)
+                sums[t] = [w + m for w, m in zip(total, map(_mirror, head, sums[1 - t], tail))]
+    return [sums[t] for t in ts]
 
 
 def _indices_around(q_max: int, t, before: int, after: int) -> list:
@@ -253,8 +255,10 @@ def _indices_around(q_max: int, t, before: int, after: int) -> list:
     return back[::-1] + list(chain.from_iterable(index_blocks(q_max, q, q_next, after)))
 
 
-def _cutoffs(ts, allow_zero: bool = False) -> list:
-    """The cutoffs as fractions, each checked to lie in (0, 1], or [0, 1] with allow_zero."""
+def _walk_args(ts, workers, allow_zero: bool = False) -> list:
+    """The cutoffs as fractions, each in (0, 1], or [0, 1] with allow_zero; workers an int >= 1."""
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, not {workers!r}")
     ts = [Fraction(t) for t in ts]
     if not ts:
         raise ValueError("need at least one t")
@@ -273,7 +277,7 @@ def partial_index_sums(q_max: int, ts, workers: int = 1) -> list[int]:
     The walk covers (0, max min(t, 1 - t)]; the sum over all of F_Q is read
     off the lattice index histogram.
     """
-    ts = _cutoffs(ts, allow_zero=True)
+    ts = _walk_args(ts, workers, allow_zero=True)
     sums = _walk_sums(_chunk_index_sum, q_max, ts, workers,
                       lambda: [sum(k * c for k, c in index_histogram(q_max).items())])
     return [sum(column) for column in sums]
@@ -283,11 +287,13 @@ def sum_index(q_max: int, workers: int = 1) -> int:
     """Exact sum of all N(Q) indices; equals 3 N(Q) - 1 identically.
 
     Walked, never read off the lattice, so that `identities` checks the
-    lattice histogram against an independent route: by the mirror, the sum
-    is 2 P(1/2) - nu(1/2) + nu(1) with P(1/2) the sum over (0, 1/2].
+    lattice histogram against an independent route: the walk covers
+    (0, 1/2], and the mirror identity at c = 1/2 gives the whole period.
     """
+    _walk_args([_HALF], workers)
     half = _run_chunks(_chunk_index_sum, q_max, {_HALF}, workers)[_HALF][0]
-    return 2 * half - _term(_chunk_index_sum, q_max, _HALF)[0] + 2 * q_max  # nu(1/1) = 2Q
+    head, tail = (_term(_chunk_index_sum, q_max, c)[0] for c in (Fraction(0), _HALF))
+    return half - _mirror(head, half, tail)
 
 
 def partial_index_sum(q_max: int, t, workers: int = 1) -> int:
@@ -308,6 +314,8 @@ def _index_pair_counts(q_max: int) -> Tuple[list, list]:
     (low, high), indexed by q (entry 0 unused); the lists are shared by the
     callers of the cached order, which only read them.
     """
+    if q_max < 1:
+        raise ValueError("order must be >= 1")
     mu = farey._moebius(q_max)
     low = [0] * (q_max + 1)
     high = [0] * (q_max + 1)
@@ -367,12 +375,12 @@ def autocorr_sums(q_max: int, lags, ts=(1,), workers: int = 1) -> list[list[int]
     N(Q), so t = 1 gives the full-period S_h(Q).  The index sequence has
     period N = N(Q), so every lag is reduced mod N first (lag 0 sums the
     squares).  One walk covers (0, min(t, 1/2)] with the lookahead each lag
-    needs; a cutoff above 1/2 is assembled from it by the mirror identities
-    of `_mirror_autocorr`.
+    needs; a cutoff above 1/2 is read off it by the mirror identity, with T
+    read from the 2 max(s) + 1 indices around each cut.
     """
     if any(h < 1 for h in lags):
         raise ValueError("h must be >= 1")
-    ts = _cutoffs(ts)
+    ts = _walk_args(ts, workers)
     n = totient_summatory(q_max)
     reduced = [h % n for h in lags]
     mirrored = [min(g, n - g) for g in reduced]
@@ -383,55 +391,27 @@ def autocorr_sums(q_max: int, lags, ts=(1,), workers: int = 1) -> list[list[int]
     cuts = {min(t, 1 - t) for t in ts if t < 1}.union([_HALF] if max(ts) > _HALF else [])
     walked = {c: dict(zip(distinct, sums))
               for c, sums in _run_chunks(_chunk_autocorr, q_max, cuts, workers, distinct).items()}
-    above = _mirror_autocorr(q_max, n, walked, ts, max(mirrored)) if max(ts) > _HALF else None
-    return [
-        [walked[t][g] if t <= _HALF else above(g, s, t) for t in ts]
-        for g, s in zip(reduced, mirrored)
-    ]
+    if max(ts) > _HALF:
+        span = max(mirrored)
+        windows = {c: _indices_around(q_max, c, span + 1, span)
+                   for c in {Fraction(0), _HALF}.union(1 - t for t in ts if _HALF < t < 1)}
 
+        def window_sum(c, s, m):
+            """T(c, m) for the lag s, read off the indices around c."""
+            w, lo = windows[c], span + 1 - m
+            return sum(map(mul, w[lo:span + 1], w[lo + s:span + 1 + s]))
 
-def _mirror_autocorr(q_max: int, n: int, walked: dict, ts, span: int):
-    """S_{h,t} for t > 1/2 from the walk over (0, 1/2], as a function of (g, s, t).
+        def mirror(c, s, d):  # _mirror at the cut c for the walked lag s
+            return _mirror(window_sum(Fraction(0), s, d + 1), walked[c][s],
+                           window_sum(c, s, d + int(c.denominator <= q_max)))
 
-    g = h mod N and s = min(g, N - g) <= N/2.  The index sequence is even,
-    nu_{N-i} = nu_i with nu_0 = nu_N = 2Q, so S_g = S_s, and the products
-    nu_i nu_{i+s} are symmetric under i -> N - s - i.  With P_s(r) the sum
-    of nu_i nu_{i+s} over 1 <= i <= r and m = floor((N-s-1)/2),
-        S_s = 2 P_s(m) + [N-s even] nu_{(N-s)/2} nu_{(N+s)/2} + sum_{j<=s} nu_j nu_{s-j}
-            = P_s(m) + P_s(floor((N-s)/2)) + sum_{j<=s} nu_j nu_{s-j}.
-    For 1/2 < t < 1, with r = rank(1 - t) and e = [1 - t in F_Q], the
-    elements above t are the mirror images of those in [0, 1 - t), so
-        S_{g,t} = S_s - sum_{j<=s} nu_j nu_{s-j} - P_s(r - e - s)   if g = s,
-        S_{g,t} = S_s - 2Q nu_s - P_s(r - e)                        if g = N - s.
-    (P_s(r) for r < 0 is minus the sum over r < i <= 0.)  Each P_s at a
-    position near a cut c is P_s(c) less the products of the last few
-    elements up to c, read off the 2 `span` + 1 indices around c, span =
-    max s; only the lag s, never g > N/2, is walked past 1/2.
-    """
-    half = n // 2  # rank(1/2)
-    head = _indices_around(q_max, Fraction(0), 1, span)  # nu_0, ..., nu_span
-    windows = {c: _indices_around(q_max, c, span + 1, span)
-               for c in {_HALF}.union(1 - t for t in ts if _HALF < t < 1)}
-
-    def last(c, h, e):
-        """The sum of nu_i nu_{i+h} over the last e positions i up to the cut c."""
-        w = windows[c]
-        return sum(map(mul, w[span + 1 - e:span + 1], w[span + 1 - e + h:span + 1 + h]))
-
-    def above(g, s, t):
-        # S_s is body + corner: corner sums the products around position 0
-        body = (2 * walked[_HALF][s] - last(_HALF, s, half - (n - s - 1) // 2)
-                - last(_HALF, s, half - (n - s) // 2))
-        corner = sum(map(mul, head[:s + 1], reversed(head[:s + 1])))
-        if t == 1:
-            return body + corner
-        c = 1 - t
-        e = int(c.denominator <= q_max)
-        if g == s:
-            return body - walked[c][s] + last(c, s, s + e)
-        return body + corner - 2 * q_max * head[s] - walked[c][s] + last(c, s, e)
-
-    return above
+        walked[Fraction(1)] = whole = {g: walked[_HALF][s] - mirror(_HALF, s, s)  # S_g = S_s
+                                       for g, s in zip(reduced, mirrored)}
+        for t in ts:
+            if _HALF < t < 1:
+                walked[t] = {g: whole[g] + mirror(1 - t, s, s if g == s else 0)
+                             for g, s in zip(reduced, mirrored)}
+    return [[walked[t][g] for t in ts] for g in reduced]
 
 
 def autocorr_sum(q_max: int, h: int, workers: int = 1) -> int:
@@ -459,7 +439,7 @@ def lu_count_table(q_max: int, ks, ts=(1,), workers: int = 1) -> list[list[Tuple
     """
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
-    ts = _cutoffs(ts)
+    ts = _walk_args(ts, workers)
     distinct = tuple(sorted(set(ks)))
     at_t = _walk_sums(_chunk_value_counts, q_max, ts, workers,
                       lambda: _value_counts(index_histogram(q_max), distinct), distinct)

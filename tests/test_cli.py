@@ -249,7 +249,7 @@ def test_out_of_domain_is_a_usage_error(capsys, monkeypatch, argv):
         raise AssertionError("computed before validating")
 
     for module, name in ((stats, "visible_points_count"), (bcz, "autocorrelation_constant"),
-                         (bcz, "b_alpha"), (bcz, "orbit"), (bcz, "orbit_steps"),
+                         (bcz, "b_alpha"), (bcz, "orbit"), (farey, "index_blocks"),
                          (bcz, "intersection_area_table")):
         monkeypatch.setattr(module, name, no_work)
     code, out, err = run_cli(capsys, *argv)
@@ -310,6 +310,8 @@ def test_largest_lag_is_accepted(capsys, monkeypatch):
         (("--workers", "0"), None),
         (("--workers", "-3"), None),
         ((), "abc"),
+        (("--workers", "257"), None),
+        ((), "257"),
     ],
 )
 def test_workers_below_one_or_not_an_integer_is_a_usage_error(capsys, monkeypatch, argv,
@@ -585,7 +587,8 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
 
     for module, name in ((stats, "partial_records"), (stats, "sum_index"),
                          (stats, "visible_points_count"), (bcz, "autocorrelation_constant"),
-                         (bcz, "intersection_area_table"), (bcz, "orbit"), (bcz, "orbit_steps")):
+                         (bcz, "intersection_area_table"), (bcz, "orbit"),
+                         (farey, "index_blocks")):
         monkeypatch.setattr(module, name, no_work)
     path = tmp_path / "missing" / "payload.csv"
     code, out, err = run_cli(capsys, *argv, "--out", str(path))
@@ -601,7 +604,7 @@ def test_json_format_is_a_usage_error_where_unsupported(capsys, monkeypatch, arg
         raise AssertionError("computed before validating")
 
     for module, name in ((stats, "sum_index"), (stats, "index_histogram"),
-                         (stats, "hall_shiu_identity"), (bcz, "orbit"), (bcz, "orbit_steps")):
+                         (stats, "hall_shiu_identity"), (bcz, "orbit"), (farey, "index_blocks")):
         monkeypatch.setattr(module, name, no_work)
     code, out, err = run_cli(capsys, *argv, "--format", "json")
     assert code == 2
@@ -670,6 +673,11 @@ GOLDEN_PAYLOADS = [
      "7ec24995c40b92780cf7cf7c2bf65051f8dcd0af0865d5912914fb1722db4d2b"),
     (("converge", "partial", "--q-list", "1,2,1000", "--t", "0,1/5,1/2,2/3,4/5,1"),
      "cdc7668eda53b4d5c3eb8aad9b5adcc0b5bffb3d27f95a0099ed613863a8539e"),
+    # both mirror branches (h mod N at most N/2 and above it) and odd N = 1 at
+    # Q = 1, with cutoffs on both sides of 1/2
+    (("converge", "S_h", "--q-list", "1,2,3,4,5,6", "--h", "1,2,3,4,5,6,7,8,9,10,11,12",
+      "--t", "1/3,1/2,4/7,5/6,1"),
+     "6314ef8ffe9ddc65e108a33b67cf8a80ec10b60aa94647af2456b4e95ff6123f"),
 ]
 
 
@@ -677,7 +685,7 @@ GOLDEN_PAYLOADS = [
     "argv, digest",
     GOLDEN_PAYLOADS,
     ids=("constants", "tables", "orbit", "moment", "identities", "visible", "visible-k2",
-         "visible-star3", "visible-square", "S_h", "S_h-small", "LU", "partial"),
+         "visible-star3", "visible-square", "S_h", "S_h-small", "LU", "partial", "S_h-tiny"),
 )
 def test_golden_payloads(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)

@@ -369,6 +369,54 @@ def test_moment_records_walk_one_histogram(monkeypatch):
         moment_records(200, [F(1, 2), 0])
 
 
+# every public function that takes an order Q, with the arguments after Q;
+# the ones that also take `workers` come first
+_WALKS = [
+    (sum_index, ()),
+    (partial_index_sum, (F(1, 3),)),
+    (partial_index_sums, ([F(2, 3), 1],)),
+    (autocorr_sum, (1,)),
+    (autocorr_sum_interval, (1, F(1, 3))),
+    (autocorr_sums, ([1, 2], [F(2, 3), 1])),
+    (lu_counts, (1,)),
+    (lu_count_table, ([1], [1])),
+    (autocorr_records, ([1],)),
+    (lu_table_records, ([1],)),
+    (partial_records, ([F(1, 3)],)),
+]
+_ORDER_TAKING = _WALKS + [
+    (farey.seek, (F(1, 2),)),
+    (farey.farey_ranks, ([F(1, 2)],)),
+    (totient_summatory, ()),
+    (index_histogram, ()),
+    (sum_index_power, (2,)),
+    (hall_shiu_identity, ()),
+    (moment_records, ([1],)),
+]
+
+
+@pytest.mark.parametrize("order", [0, -3])
+@pytest.mark.parametrize("fn, args", _ORDER_TAKING, ids=[fn.__name__ for fn, _ in _ORDER_TAKING])
+def test_orders_below_one_are_refused(fn, args, order):
+    # seek(0, 1/2) used to return a successor over 0, index_histogram(0) an
+    # empty histogram and lu_count_table(0, [1]) a count
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        fn(order, *args)
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.7])
+@pytest.mark.parametrize("fn, args", _WALKS, ids=[fn.__name__ for fn, _ in _WALKS])
+def test_chunk_counts_below_one_or_not_integers_are_refused(fn, args, workers, monkeypatch):
+    # they used to become max(1, int(workers)) chunks, or none where t = 1
+    # walks nothing
+    def no_walk(*args):
+        raise AssertionError("walked before validating")
+
+    monkeypatch.setattr(stats, "_run_chunks", no_walk)
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        fn(30, *args, workers=workers)
+
+
 def test_visible_points_counts():
     square = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
     # 63 coprime pairs with 1 <= a, b <= 10, plus the two axis points (0,1), (1,0)
