@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=_worker_count,
             default=os.environ.get("FAREY_INDEX_WORKERS", "1"),
-            help="subinterval chunk count (default $FAREY_INDEX_WORKERS or 1)",
+            help="chunk count of the converge S_h walk (default $FAREY_INDEX_WORKERS or 1)",
         )
 
     p = sub.add_parser("identities", help="exact identity checks for all Q <= bound")

@@ -57,23 +57,9 @@ def seek(order: int, t) -> Tuple[int, int, int, int]:
     if p == r:  # t == 1
         a, b = 1, 1
     else:
-        # invariant: a/b <= t < c/d with bc - ad = 1
-        a, b, c, d = 0, 1, 1, 1
-        while b + d <= order:
-            if (a + c) * r <= p * (b + d):
-                # mediant <= t: batch-move the left endpoint toward t
-                num = p * b - a * r
-                den = c * r - p * d
-                j = min(num // den, (order - b) // d)
-                a, b = a + j * c, b + j * d
-            else:
-                # mediant > t: batch-move the right endpoint toward t
-                num = c * r - p * d
-                den = p * b - a * r
-                j = (order - d) // b
-                if den > 0:
-                    j = min((num - 1) // den, j)
-                c, d = c + j * a, d + j * b
+        a, b = 0, 1
+        for a, b, _, _ in _left_moves(order, p, r):
+            pass  # the last left end is the left neighbor
 
     # successor of a/b: unique q2 in (Q - b, Q] with a*q2 = -1 (mod b)
     inv = pow(a, -1, b) if b > 1 else 0
@@ -81,6 +67,36 @@ def seek(order: int, t) -> Tuple[int, int, int, int]:
     q2 = order - ((order - residue) % b)
     a2 = (1 + a * q2) // b
     return a, b, a2, q2
+
+
+def _left_moves(order: int, p: int, r: int) -> Iterator[Tuple[int, int, int, int]]:
+    """The left-end moves of the bounded Stern-Brocot descent toward p/r in [0, 1).
+
+    The descent keeps Farey neighbors a/b <= p/r < c/d, from 0/1 and 1/1, and
+    replaces one end by their mediant while its denominator b + d is at most
+    Q, so it ends at the neighbors of p/r in F_Q.  Runs of mediant steps on
+    one side are batched (O(log Q) iterations).  Each run of j >= 1 steps of
+    the left end, all toward the same c/d, yields (a, b, d, j) with a/b the
+    new left end; the elements it passes are a/b and the j - 1 before it,
+    over b - j d + i d for i = 1..j.
+    """
+    a, b, c, d = 0, 1, 1, 1
+    while b + d <= order:
+        if (a + c) * r <= p * (b + d):
+            # mediant <= t: batch-move the left endpoint toward t
+            num = p * b - a * r
+            den = c * r - p * d
+            j = min(num // den, (order - b) // d)
+            a, b = a + j * c, b + j * d
+            yield a, b, d, j
+        else:
+            # mediant > t: batch-move the right endpoint toward t
+            num = c * r - p * d
+            den = p * b - a * r
+            j = (order - d) // b
+            if den > 0:
+                j = min((num - 1) // den, j)
+            c, d = c + j * a, d + j * b
 
 
 _mu: Tuple[int, ...] = ()  # mu(0..n) for the largest n sieved so far

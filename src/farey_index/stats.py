@@ -1,7 +1,7 @@
 """Exact large-Q enumeration of Farey index statistics.
 
 Every statistic is exact: sums and counts are Python integers, comparisons
-against asymptotic predictions happen only at report time.  There are two
+against asymptotic predictions happen only at report time.  There are three
 routes.
 
 The lattice route counts instead of walking.  The consecutive denominators
@@ -14,12 +14,27 @@ Hall-Shiu count are read off it.  Coprime lattice points of a scaled polygon
 are counted the same way, by Moebius inversion over the common divisor and a
 column count in the polygon's integer edge inequalities.
 
+The gap identity closes the partial index sums.  Let a/b < c/d be
+neighbors of some F_r, r <= Q, and n the number of elements of F_Q strictly
+between them.  Then their indices sum to
+    3 n - floor((Q - d)/b) - floor((Q - b)/d),
+by induction on Q - b - d: with b + d > Q there is nothing between them
+(n = 0, and both floors are 0), and otherwise the mediant, of index
+1 + floor((Q - b)/(b + d)) + floor((Q - d)/(b + d)), splits the gap into
+two, whose sums add up to the claim.  Summed along the left ends of the
+Stern-Brocot descent toward t, it gives the sum over (0, t] from rank(t) in
+O(log Q) steps (`partial_index_sums`); over all of F_Q it is Hall-Shiu's
+3 N(Q) - 1.  With r = floor(Q/2) every gap holds two chains, and its
+indices run 1, 2, ..., 2, 3, 2, ..., 2, 1 (`_run_counts`), so the counts of
+index values over (0, c] come from a walk of F_r, about a quarter of the
+elements of F_Q up to c (`_index_value_counts`, for the threshold counts).
+
 The walk route reads the denominator-only recurrence (one division per
-element) through the stream `farey.index_blocks`.  It serves what is not a
-function of (q', q) alone: the index sum and its partial sums up to a cutoff
-t, the autocorrelations S_{h,t} and the threshold counts (L, U).  Each of
-these walks F_Q at most once per order Q, however many parameters are asked
-for, and never past 1/2 but for the lookahead of the lags: the mirror
+element) through the stream `farey.index_blocks`.  It serves the
+autocorrelations S_{h,t}, which do not add up gap by gap, and `sum_index`,
+which walks so that it checks the lattice by an independent route.  Each
+walks F_Q at most once per order Q, however many parameters are asked for,
+and never past 1/2 but for the lookahead of the lags: the mirror
 gamma -> 1 - gamma keeps denominators and indices, nu_{N-i} = nu_i with
 nu_0 = nu_N = 2Q.  Let W(c) sum phi_i over the positions 1 <= i <= rank(c),
 and T(c, m) over the m positions that end at rank(c).  The index sums and
@@ -29,20 +44,20 @@ d = s if g = s and d = 0 if g = N - s.  Then for every c in [0, 1]
     W(1 - c) = W(1) - T(0, d + 1) - W(c) + T(c, d + [c in F_Q]),
 where for S_h the left side sums nu_i nu_{i+g}.  At c = 1/2 it gives the
 whole period (S_s with d = s) from the walk of (0, 1/2], and at c = 1 - t
-every 1/2 < t < 1 from the walk of (0, 1 - t].  The partial sums and (L, U)
-read W(1) off the lattice histogram instead, so t = 1 walks nothing;
-`sum_index` walks, so that it checks the lattice by an independent route.
-(L, U) needs only counts of index values from the walk, because every
-element over q has index floor((2Q+1)/q) - 1 or floor((2Q+1)/q) and the
-denominators below a bound are counted by a Farey rank.  The walk is split
-into chunks at `workers` equal slices of its range and at every
-min(t, 1 - t).  Each chunk starts from the denominators `seek` finds at its
-left end and runs for an exact step count, the difference of the Farey
-ranks of its two ends, so no kernel carries numerators or compares
-fractions; a serial run has one chunk per cut.  The value at a cut is the
-sum of the chunk results up to it.  Partial results merge associatively, so
-results are identical for every chunk count, which is what makes the
-`workers` parameter a pure throughput knob."""
+every 1/2 < t < 1 from the sums up to 1 - t.  (L, U) applies it to its
+counts of index values, with W(1) read off the lattice histogram, so t = 1
+walks nothing; it needs only those counts, because every element over q has
+index floor((2Q+1)/q) - 1 or floor((2Q+1)/q) and the denominators below a
+bound are counted by a Farey rank.  The walks of F_Q are split into chunks at
+`workers` equal slices of their range and at every min(t, 1 - t).  Each
+chunk starts from the denominators `seek` finds at its left end and runs
+for an exact step count, the difference of the Farey ranks of its two ends,
+so no kernel carries numerators or compares fractions; a serial run has
+one chunk per cut.  The value at a cut is the sum of the chunk results up
+to it.  Partial results merge associatively, so results are identical for
+every chunk count, which is what makes the `workers` parameter a pure
+throughput knob.  Only these walks use it: the partial sums and (L, U) run
+in one process whatever `workers` is."""
 
 from __future__ import annotations
 
@@ -67,25 +82,19 @@ _HALF = Fraction(1, 2)
 # analytic constants for the second-moment prediction
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# Both constants are the doubles that series evaluations gave (the harmonic-sum
+# expansion at n = 10^4; the log series to 2*10^4 terms with an Euler-Maclaurin
+# tail), within 4e-14 of the true values; pinned, the `moment` payloads keep
+# every digit.
+
 def euler_gamma() -> float:
-    """Euler's constant via the harmonic-sum expansion H_n - ln n - 1/2n + ..."""
-    n = 10_000
-    h = sum(1.0 / k for k in range(1, n + 1))
-    return h - math.log(n) - 1 / (2 * n) + 1 / (12 * n**2) - 1 / (120 * n**4)
+    """Euler's constant."""
+    return 0.5772156649014979
 
 
-@lru_cache(maxsize=None)
 def zeta_prime_over_zeta_two() -> float:
-    """zeta'(2)/zeta(2), from the log series with an Euler-Maclaurin tail."""
-    n = 20_000
-    s = sum(math.log(k) / k**2 for k in range(2, n + 1))
-    a = n + 1
-    tail = (math.log(a) + 1) / a  # integral of ln(x)/x^2 from a
-    tail += math.log(a) / a**2 / 2  # + f(a)/2
-    tail -= (1 - 2 * math.log(a)) / a**3 / 12  # - f'(a)/12
-    zeta_prime = -(s + tail)
-    return zeta_prime / (math.pi**2 / 6)
+    """zeta'(2)/zeta(2)."""
+    return -0.56996099309453
 
 
 def second_moment_prediction(q_max: int) -> float:
@@ -139,20 +148,6 @@ def _chunk_autocorr(task) -> list:
     return [sums[h] for h in lags]
 
 
-def _value_counts(counts, ks) -> list:
-    """[#{nu = k}, #{nu > k}] for each k in turn, from counts {index value: occurrences}."""
-    return [c for k in ks for c in (counts.get(k, 0), sum(n for v, n in counts.items() if v > k))]
-
-
-def _chunk_value_counts(task) -> list:
-    """`_value_counts` of the indices of `steps` consecutive elements, counted a block at a time."""
-    order, ks, pd, cd, steps = task
-    counts = Counter()
-    for block in index_blocks(order, pd, cd, steps):
-        counts.update(block)
-    return _value_counts(counts, ks)
-
-
 def _run_chunks(kernel, q_max: int, wanted, workers: int, *params) -> dict:
     """{c: elementwise sums of `kernel` over the chunks that tile (0, c]} for each c in `wanted`.
 
@@ -203,14 +198,14 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _term(kernel, q_max: int, c: Fraction, *params) -> list:
-    """T(c, [c in F_Q]): the kernel on the one-element chunk {c}, or on none if c is not in F_Q.
+def _index_of(q_max: int, c: Fraction) -> int:
+    """The index of c, an element of F_Q or 0/1, which has index 2Q.
 
-    The index of c is floor((Q + q')/q) for either neighbor denominator q',
-    so the successor's, which `seek` gives, serves as well; 0/1 has index 2Q.
+    It is floor((Q + q')/q) for either neighbor denominator q', so the
+    successor's, which `seek` gives, serves as well.
     """
     _, q, _, q_next = seek(q_max, c)
-    return kernel((q_max, *params, q_next, q, int(c.denominator <= q_max)))
+    return (q_max + q_next) // q
 
 
 def _mirror(head, walked, tail):
@@ -220,25 +215,6 @@ def _mirror(head, walked, tail):
     W(1) = W(1/2) - _mirror(...).
     """
     return tail - head - walked
-
-
-def _walk_sums(kernel, q_max: int, ts, workers: int, whole, *params) -> list:
-    """For each t in `ts`, the elementwise sums of `kernel` over the elements of (0, t].
-
-    For kernels that add up a function of the index of each element, so
-    d = 0; `whole()` gives the sums over all of F_Q.  Only
-    (0, max min(t, 1 - t)] is walked, and t = 1 walks nothing.
-    """
-    cuts = {min(t, 1 - t) for t in ts if t < 1}
-    sums = _run_chunks(kernel, q_max, cuts, workers, *params) if cuts else {}
-    if max(ts) > _HALF:
-        sums[Fraction(1)] = total = whole()
-        head = _term(kernel, q_max, Fraction(0), *params)
-        for t in ts:
-            if _HALF < t < 1:
-                tail = _term(kernel, q_max, 1 - t, *params)
-                sums[t] = [w + m for w, m in zip(total, map(_mirror, head, sums[1 - t], tail))]
-    return [sums[t] for t in ts]
 
 
 def _indices_around(q_max: int, t, before: int, after: int) -> list:
@@ -272,28 +248,42 @@ def _walk_args(ts, workers, allow_zero: bool = False) -> list:
 # ---------------------------------------------------------------------------
 
 def partial_index_sums(q_max: int, ts, workers: int = 1) -> list[int]:
-    """Exact sums of indices over gamma <= t, one per t in `ts`, from one walk.
+    """Exact sums of indices over gamma <= t, one per t in `ts`, by the gap identity; no walk.
 
-    The walk covers (0, max min(t, 1 - t)]; the sum over all of F_Q is read
-    off the lattice index histogram.
+    With R = rank(t), the left moves of the Stern-Brocot descent toward t
+    pass the elements x_1 < ... < x_V = the left neighbor of t in F_Q, over
+    b_1, ..., b_V, each next to the one before it (x_0 = 0/1, b_0 = 1).  The
+    gap identity of the module docstring then gives the sum as
+        3 (R - V) + sum_i (floor((Q + b_{i-1})/b_i) - floor((Q - b_i)/b_{i-1})),
+    and a run of j moves toward one right end over d telescopes to
+    2 j + floor((Q - d)/b_i) - floor((Q - d)/b_{i-j}): O(log Q) steps and one
+    Farey rank per t.  `workers` is checked but unused.
     """
     ts = _walk_args(ts, workers, allow_zero=True)
-    sums = _walk_sums(_chunk_index_sum, q_max, ts, workers,
-                      lambda: [sum(k * c for k, c in index_histogram(q_max).items())])
-    return [sum(column) for column in sums]
+    sums = []
+    for t, rank in zip(ts, farey_ranks(q_max, ts)):
+        total = 3 * rank
+        if t == 1:
+            total -= 1  # 3 N(Q) - 1, the gap (0/1, 1/1) and nu(1/1) = 2Q
+        else:
+            for _, b, d, j in farey._left_moves(q_max, t.numerator, t.denominator):
+                total += (q_max - d) // b - (q_max - d) // (b - j * d) - j
+        sums.append(total)
+    return sums
 
 
 def sum_index(q_max: int, workers: int = 1) -> int:
     """Exact sum of all N(Q) indices; equals 3 N(Q) - 1 identically.
 
-    Walked, never read off the lattice, so that `identities` checks the
-    lattice histogram against an independent route: the walk covers
-    (0, 1/2], and the mirror identity at c = 1/2 gives the whole period.
+    Walked, never read off the lattice or the gap identity, so that
+    `identities` checks the lattice histogram against an independent route:
+    the walk covers (0, 1/2], and the mirror identity at c = 1/2 gives the
+    whole period.
     """
     _walk_args([_HALF], workers)
     half = _run_chunks(_chunk_index_sum, q_max, {_HALF}, workers)[_HALF][0]
-    head, tail = (_term(_chunk_index_sum, q_max, c)[0] for c in (Fraction(0), _HALF))
-    return half - _mirror(head, half, tail)
+    tail = _index_of(q_max, _HALF) if q_max > 1 else 0  # T(1/2, [1/2 in F_Q])
+    return half - _mirror(_index_of(q_max, Fraction(0)), half, tail)
 
 
 def partial_index_sum(q_max: int, t, workers: int = 1) -> int:
@@ -424,8 +414,70 @@ def autocorr_sum_interval(q_max: int, h: int, t, workers: int = 1) -> int:
     return autocorr_sums(q_max, [h], [t], workers)[0][0]
 
 
+def _run_counts(q_max: int, b: int, d: int, m: int, counts: Counter) -> None:
+    """Add to `counts` the index values of the first m elements of F_Q between neighbors over b, d.
+
+    The neighbors are consecutive in F_s, s = floor(Q/2), so 2(b + d) > Q:
+    the elements between them are over i b + d, i = K..1, then b + j d,
+    j = 2..L, with K = floor((Q - d)/b) and L = floor((Q - b)/d), and their
+    indices run 1, 2, ..., 2, 3, 2, ..., 2, 1; without a left chain (K = 1)
+    the run loses its first 1 and the 3 becomes a 2, and likewise on the right.
+    """
+    k, l = (q_max - d) // b, (q_max - b) // d
+    for value, n in ((1, k > 1), (2, max(k - 2, 0)), (1 + (k > 1) + (l > 1), 1),
+                     (2, max(l - 2, 0)), (1, l > 1)):
+        n = min(n, m)
+        counts[value] += n
+        m -= n
+
+
+def _index_value_counts(q_max: int, cuts) -> dict:
+    """{c: Counter of the indices of F_Q over (0, c]} for each c in `cuts`, all c < 1, from one walk.
+
+    The walk runs over F_s, s = floor(Q/2), up to max(cuts): about a quarter
+    of the elements of F_Q up to it.  An element of F_s over b, after one
+    over p, has index floor((Q - p)/b) + floor((Q + p)/b) >= 3 in F_Q, and
+    each of the G gaps of F_s up to c holds a run of `_run_counts`.  Of the
+    elements in them, G + C have index 1, C index 3 and the rest index 2,
+    where C counts the gaps with two chains: 2b + d <= Q and b + 2d <= Q.  A cut not
+    in F_s lies in a gap, which adds the first rank_Q(c) - rank_Q(x) entries
+    of its run, x the gap's left end.
+    """
+    s = q_max // 2
+    cuts = sorted(cuts)
+    if not s:  # F_1 has no element below 1
+        return {c: Counter() for c in cuts}
+    steps = farey_ranks(s, cuts)
+    ends = [seek(s, c) for c in cuts]
+    ranks = farey_ranks(q_max, cuts + [Fraction(a, b) for a, b, _, _ in ends])
+    ranks, gap_starts = ranks[:len(cuts)], ranks[len(cuts):]
+    values, counts = Counter(), {}
+    b, d = 1, s  # the denominators of 0/1 and 1/s
+    done = double = 0  # elements of F_s walked; gaps with two chains among them
+    for i, c in enumerate(cuts):
+        while done < steps[i]:
+            block = []
+            append = block.append
+            for _ in range(min(steps[i] - done, farey._BLOCK)):
+                l = (q_max - b) // d
+                append(l + (q_max + b) // d)
+                if l > 1 and 2 * b + d <= q_max:
+                    double += 1
+                b, d = d, (s + b) // d * d - b
+            values.update(block)
+            done += len(block)
+        at_c = values.copy()
+        at_c[1] += done + double
+        at_c[2] += gap_starts[i] - 2 * done - 2 * double
+        at_c[3] += double
+        _, left, _, right = ends[i]
+        _run_counts(q_max, left, right, ranks[i] - gap_starts[i], at_c)
+        counts[c] = at_c
+    return counts
+
+
 def lu_count_table(q_max: int, ks, ts=(1,), workers: int = 1) -> list[list[Tuple[int, int]]]:
-    """(L, U) for every k in `ks` (rows) and cutoff t in `ts` (columns), from one walk.
+    """(L, U) for every k in `ks` (rows) and cutoff t in `ts` (columns), from one walk of F_{Q/2}.
 
     Every element over q has index floor((2Q+1)/q) - 1 or floor((2Q+1)/q),
     so an element of index k counts in L(k) iff q <= c_k, with
@@ -433,23 +485,31 @@ def lu_count_table(q_max: int, ks, ts=(1,), workers: int = 1) -> list[list[Tuple
     has q <= c_k.  Hence, with R = rank(t),
         L(k) = #{gamma <= t : q <= c_k} - #{i <= R : nu_i > k},
         U(k) = #{i <= R : nu_i = k} - L(k),
-    where the first count is the rank of t in F_{c_k}.  The walk only counts
-    index values; the counts over all of F_Q are read off the lattice
-    histogram, so t = 1 walks nothing.
+    where the first count is the rank of t in F_{c_k}.  The counts of index
+    values come from `_index_value_counts` at each min(t, 1 - t), and above
+    1/2 from the mirror identity with the counts over all of F_Q read off
+    the lattice histogram, so t = 1 walks nothing.  `workers` is checked but
+    unused: the walk runs in this process.
     """
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
     ts = _walk_args(ts, workers)
-    distinct = tuple(sorted(set(ks)))
-    at_t = _walk_sums(_chunk_value_counts, q_max, ts, workers,
-                      lambda: _value_counts(index_histogram(q_max), distinct), distinct)
+    counts = _index_value_counts(q_max, {min(t, 1 - t) for t in ts if t < 1})
+    if max(ts) > _HALF:
+        counts[Fraction(1)] = whole = Counter(index_histogram(q_max))
+        head = Counter({2 * q_max: 1})  # T(0, 1): nu_0 = 2Q
+        for t in ts:
+            if _HALF < t < 1:
+                counts[t] = whole - head - counts[1 - t]
+                if t.denominator <= q_max:  # T(1 - t, 1)
+                    counts[t][_index_of(q_max, 1 - t)] += 1
     rows = {}
-    for i, k in enumerate(distinct):
+    for k in set(ks):
         c = min(q_max, (2 * q_max + 1) // (k + 1))
         rows[k] = []
-        for below, counts in zip(farey_ranks(c, ts) if c else [0] * len(ts), at_t):
-            low = below - counts[2 * i + 1]
-            rows[k].append((low, counts[2 * i] - low))
+        for below, t in zip(farey_ranks(c, ts) if c else [0] * len(ts), ts):
+            low = below - sum(n for v, n in counts[t].items() if v > k)
+            rows[k].append((low, counts[t][k] - low))
     return [rows[k] for k in ks]
 
 
@@ -590,7 +650,7 @@ def moment_records(q_max: int, alphas) -> list[StatRecord]:
 
 
 def lu_table_records(q_max: int, ks, ts=(1,), workers: int = 1) -> list[StatRecord]:
-    """An L row and a U row per (k, t), k outer and t inner, all from one walk of F_Q."""
+    """An L row and a U row per (k, t), k outer and t inner, all from one walk of F_{Q/2}."""
     ts = [Fraction(t) for t in ts]
     n = totient_summatory(q_max)
     records = []
@@ -607,7 +667,7 @@ def lu_table_records(q_max: int, ks, ts=(1,), workers: int = 1) -> list[StatReco
 
 
 def partial_records(q_max: int, ts, workers: int = 1) -> list[StatRecord]:
-    """One partial-sum row per t, all from one walk of F_Q."""
+    """One partial-sum row per t, by the gap identity; no walk."""
     ts = [Fraction(t) for t in ts]
     n = totient_summatory(q_max)
     return [

@@ -344,27 +344,29 @@ def test_workers_default_from_environment(tmp_path, capsys, monkeypatch):
     "argv, kernel",
     [
         (("S_h", "--h", "3,1,2", "--t", "1/2,1,1/3"), "_chunk_autocorr"),
-        (("LU", "--k", "2,1,4", "--t", "2/3,1/4"), "_chunk_value_counts"),
-        (("partial", "--t", "1/2,0,1"), "_chunk_index_sum"),
+        (("LU", "--k", "2,1,4", "--t", "2/3,1/4"), "_index_value_counts"),
+        (("partial", "--t", "1/2,0,1"), None),
         (("moment", "--alpha", "1,2,1/2"), None),
         (("moment", "--alpha", "1"), None),
         (("S_h", "--h", "2,5", "--t", "1"), "_chunk_autocorr"),
         (("S_h", "--h", "1", "--t", "4/5,3/5"), "_chunk_autocorr"),
-        (("LU", "--k", "1,3", "--t", "1,5/6"), "_chunk_value_counts"),
+        (("LU", "--k", "1,3", "--t", "1,5/6"), "_index_value_counts"),
         (("partial", "--t", "1"), None),
         (("LU", "--k", "1,3", "--t", "1"), None),
-        (("LU", "--k", "2", "--t", "5/6"), "_chunk_value_counts"),
+        (("LU", "--k", "2", "--t", "5/6"), "_index_value_counts"),
     ],
 )
 def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
     # moments are read off the lattice histogram and never walk.  S_h walks
-    # (0, 1/2] at most: a cutoff above 1/2 is assembled from its mirror.  LU
-    # and partial take the sums over all of F_Q from the lattice too, so they
-    # walk (0, max min(t, 1 - t)] and t = 1 walks nothing.  The chunks tile
-    # (0, T] exactly, every walk starts at a point seek finds at or below T,
-    # and none runs more than the largest lag past the end of its chunk
-    walks, chunks, starts, steps = [], [], [], []
+    # (0, 1/2] of F_Q at most: a cutoff above 1/2 is assembled from its
+    # mirror.  The chunks tile (0, T] exactly, every walk starts at a point
+    # seek finds at or below T, and none runs more than the largest lag past
+    # the end of its chunk.  partial walks nothing: the gap identity closes
+    # every cutoff.  LU walks F_{Q/2}, not F_Q, once per order, up to
+    # max min(t, 1 - t); t = 1 walks nothing.  Neither starts a chunk
+    walks, chunks, starts, steps, halves = [], [], [], [], []
     run_chunks, seek, index_blocks = stats._run_chunks, stats.seek, stats.index_blocks
+    value_counts = stats._index_value_counts
 
     def counted(kernel, order, *args):
         walks.append((kernel.__name__, order))
@@ -383,14 +385,19 @@ def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
         steps.append((order, count))
         return index_blocks(order, pd, cd, count)
 
+    def logged_counts(order, cuts):
+        if cuts:
+            halves.append(("_index_value_counts", order, max(cuts)))
+        return value_counts(order, cuts)
+
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(stats, "_run_chunks", counted)
     monkeypatch.setattr(stats, "seek", logged_seek)
     monkeypatch.setattr(stats, "index_blocks", logged_blocks)
+    monkeypatch.setattr(stats, "_index_value_counts", logged_counts)
     code, out, _ = run_cli(capsys, "converge", argv[0], "--q-list", "30,40", *argv[1:],
                            "--workers", "3")
     assert code == 0
-    assert walks == ([(kernel, 30), (kernel, 40)] if kernel else [])
     options = dict(zip(argv[1::2], argv[2::2]))
     ts = [Fraction(t) for t in options.get("--t", "1").split(",")]
     if argv[0] == "S_h":
@@ -398,12 +405,19 @@ def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
     else:
         reach = max((min(t, 1 - t) for t in ts if t < 1), default=Fraction(0))
     assert all(t <= reach for t in starts)
-    lag = max(map(int, options.get("--h", "0").split(",")))
-    for q in (30, 40):
-        walked = farey.farey_ranks(q, (reach,))[0] if kernel else 0
-        assert sum(count for order, count in chunks if order == q) == walked
-        counts = [count for order, count in steps if order == q]
-        assert sum(counts) <= walked + len(counts) * (lag + 1) < totient_summatory(q) * 2 // 3
+    if kernel == "_index_value_counts":
+        assert (walks, steps) == ([], [])
+        assert halves == [(kernel, 30, reach), (kernel, 40, reach)]
+    elif kernel is None:
+        assert (walks, steps, halves) == ([], [], [])
+    else:
+        assert (walks, halves) == ([(kernel, 30), (kernel, 40)], [])
+        lag = max(map(int, options["--h"].split(",")))
+        for q in (30, 40):
+            walked = farey.farey_ranks(q, (reach,))[0]
+            assert sum(count for order, count in chunks if order == q) == walked
+            counts = [count for order, count in steps if order == q]
+            assert sum(counts) <= walked + len(counts) * (lag + 1) < totient_summatory(q) * 2 // 3
 
 
 @pytest.mark.parametrize(

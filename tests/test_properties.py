@@ -298,3 +298,72 @@ def rational_polygons(draw):
 def test_visible_lattice_count_matches_brute_scan(poly, scale):
     assume(poly)
     assert stats.visible_points_count(poly, scale) == brute_visible_count(poly, scale)
+
+
+@st.composite
+def cutoffs_of(draw, q):
+    """Cutoffs in [0, 1] for order q: 0, 1/2 and 1, over a denominator of F_q
+    above q/2, beyond q, or of 10^12 and more."""
+    den = draw(st.one_of(st.integers(q // 2 + 1, q), st.integers(q + 1, 4 * q + 4),
+                         st.integers(1, 60), st.integers(10**12, 10**18)))
+    return draw(st.one_of(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1))),
+                          st.integers(0, den).map(lambda a: Fraction(a, den))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.integers(1, 60), ks=st.lists(st.integers(1, 8), max_size=3), data=st.data())
+@example(q=1, ks=[], data=None)
+@example(q=2, ks=[], data=None)
+@example(q=3, ks=[], data=None)
+def test_partial_sums_and_lu_match_sorted_fractions(q, ks, data):
+    # the gap identity closes the partial sums without a walk, and LU counts
+    # index values from a walk of F_{Q/2}; the oracle sorts all fractions
+    fixed = [Fraction(0), Fraction(1, 2), Fraction(1)]
+    ts = fixed + (data.draw(st.lists(cutoffs_of(q), max_size=4)) if data else [])
+    assert partial_index_sums(q, ts) == brute_partial(q, ts)
+    ks = [1, 2, 3, 2 * q] + ks
+    positive = [t for t in ts if t > 0]
+    assert lu_count_table(q, ks, positive) == brute_lu(q, ks, positive)
+
+
+def test_gap_identity_over_every_gap_of_every_farey_subsequence():
+    # for neighbors a/b < c/d of F_r, r <= Q, the n elements of F_Q strictly
+    # between them have index sum 3n - floor((Q - d)/b) - floor((Q - b)/d)
+    gaps = 0
+    for q in range(1, 40):
+        fr, _, nus = brute_indices(q)
+        dens = [1] + [f.denominator for f in fr]  # 0/1 opens F_Q
+        before = [0]
+        for nu in nus:
+            before.append(before[-1] + nu)  # before[i]: index sum of positions < i + 1
+        for r in range(1, q + 1):
+            ends = [i for i, den in enumerate(dens) if den <= r]
+            for i, j in zip(ends, ends[1:]):
+                b, d, n = dens[i], dens[j], j - i - 1
+                assert before[j - 1] - before[i] == 3 * n - (q - d) // b - (q - b) // d
+                gaps += 1
+    assert gaps == 68233  # sum over Q < 40 and r <= Q of N(r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 300), t=unit_rationals())
+def test_partial_sums_match_a_raw_walk(q, t):
+    # the closed form against the index stream summed up to rank(t)
+    rank = farey.farey_ranks(q, (t,))[0]
+    assert partial_index_sums(q, [t]) == [sum(map(sum, farey.index_blocks(q, 1, q, rank)))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=st.integers(1, 10**5), t=unit_rationals())
+def test_partial_sums_obey_the_mirror_identity(q, t):
+    # P(t) + P(1 - t) = 3 N - 1 - 2Q + [t in F_Q] nu(t), with nu(0) = 2Q; the
+    # index of a/b in F_Q is floor((Q + q')/b), q' its predecessor's denominator
+    a, b = t.numerator, t.denominator
+    if b > q:
+        nu = 0
+    elif b == 1:
+        nu = 2 * q
+    else:
+        nu = (2 * q - (q - pow(a, -1, b)) % b) // b
+    n = stats.totient_summatory(q)
+    assert sum(partial_index_sums(q, [t, 1 - t])) == 3 * n - 1 - 2 * q + nu

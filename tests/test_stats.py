@@ -129,6 +129,12 @@ def test_partial_index_sum_examples():
             assert partial_index_sum(q, t) == want
 
 
+def test_index_sum_by_the_walk_the_gap_identity_and_the_lattice():
+    for q in list(range(1, 61)) + [1000, 3001]:
+        hist = index_histogram(q)
+        assert sum_index(q) == partial_index_sums(q, [1])[0] == sum(k * c for k, c in hist.items())
+
+
 def test_lu_counts_examples_and_partition():
     assert lu_counts(3, 1) == (2, 0)  # 1/3 and 2/3 hit the low threshold
     for q in range(1, 101, 9):
@@ -313,8 +319,9 @@ def test_pool_processes_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(stats.multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 2)
-    # the walk covers (0, 1 - 5/7] = (0, 2/7], in seven equal slices
-    assert lu_counts(60, 2, F(5, 7), workers=7) == lu_counts(60, 2, F(5, 7))
+    # the walk covers (0, 1/2] in seven equal slices; the cut 1 - 5/7 = 4/14
+    # is the end of one of them
+    assert autocorr_sum_interval(60, 2, F(5, 7), workers=7) == autocorr_sum_interval(60, 2, F(5, 7))
     assert sizes == [2]  # two processes ...
     assert task_counts == [7]  # ... still running seven chunks
 
@@ -471,9 +478,9 @@ def test_visible_points_density_trend():
 def test_analytic_constants_against_mpmath():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 25
-    assert abs(euler_gamma() - float(mp.euler)) < 1e-10
+    assert abs(euler_gamma() - float(mp.euler)) < 1e-13
     reference = float(mp.zeta(2, derivative=1) / mp.zeta(2))
-    assert abs(zeta_prime_over_zeta_two() - reference) < 1e-10
+    assert abs(zeta_prime_over_zeta_two() - reference) < 1e-13
 
 
 def test_second_moment_record():

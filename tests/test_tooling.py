@@ -29,16 +29,22 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_cli_start_imports_no_heavy_modules():
+def test_cli_start_imports_no_heavy_modules(tmp_path):
     # every command pays for what the CLI imports: `dataclasses` (with
     # `inspect`) and `multiprocessing` cost about 30 ms a process, and only a
-    # pooled walk needs `multiprocessing`.  -S keeps site hooks out of the count
-    code = ("import sys; import farey_index.cli as c; c.build_parser(); "
+    # pooled walk needs `multiprocessing`.  `partial` and `LU` start no pool
+    # at any --workers, even where two CPUs would allow one.  -S keeps site
+    # hooks out of the count
+    code = ("import os, sys; os.cpu_count = lambda: 2; import farey_index.cli as c; "
+            "c.build_parser(); sys.argv[1:] and c.main(sys.argv[1:]); "
             "print(sorted({'dataclasses', 'inspect', 'multiprocessing'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+    out = ["--out", str(tmp_path / "rows.csv"), "--workers", "2"]
+    for argv in ([], ["converge", "partial", "--q-list", "60", "--t", "2/5,3/5", *out],
+                 ["converge", "LU", "--q-list", "60", "--k", "1,2", "--t", "3/5", *out]):
+        result = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
+                                capture_output=True, text=True, timeout=60, check=True)
+        assert result.stdout.strip() == "[]", argv
 
 
 def test_public_surface_is_pinned():
