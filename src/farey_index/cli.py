@@ -357,9 +357,9 @@ def cmd_converge(args) -> int:
             elif args.stat == "moment":
                 records.extend(stats.moment_records(q, args.alpha or [Fraction(1)]))
             elif args.stat == "LU":
-                records.extend(stats.lu_table_records(q, args.k or [1], ts, workers=workers))
+                records.extend(stats.lu_table_records(q, args.k or [1], ts))
             else:
-                records.extend(stats.partial_records(q, ts, workers=workers))
+                records.extend(stats.partial_records(q, ts))
 
         rows = []
         for rec in records:

@@ -48,16 +48,16 @@ every 1/2 < t < 1 from the sums up to 1 - t.  (L, U) applies it to its
 counts of index values, with W(1) read off the lattice histogram, so t = 1
 walks nothing; it needs only those counts, because every element over q has
 index floor((2Q+1)/q) - 1 or floor((2Q+1)/q) and the denominators below a
-bound are counted by a Farey rank.  The walks of F_Q are split into chunks at
-`workers` equal slices of their range and at every min(t, 1 - t).  Each
-chunk starts from the denominators `seek` finds at its left end and runs
-for an exact step count, the difference of the Farey ranks of its two ends,
-so no kernel carries numerators or compares fractions; a serial run has
-one chunk per cut.  The value at a cut is the sum of the chunk results up
-to it.  Partial results merge associatively, so results are identical for
-every chunk count, which is what makes the `workers` parameter a pure
-throughput knob.  Only these walks use it: the partial sums and (L, U) run
-in one process whatever `workers` is."""
+bound are counted by a Farey rank.  The walk of S_h is split into chunks at
+`workers` equal slices of its range and at every min(t, 1 - t).  Each chunk
+starts from the denominators `seek` finds at its left end and runs for an
+exact step count, the difference of the Farey ranks of its two ends, so no
+kernel carries numerators or compares fractions; a serial run has one chunk
+per cut.  The value at a cut is the sum of the chunk results up to it.
+Partial results merge associatively, so results are identical for every
+chunk count, which is what makes `workers` a pure throughput knob.  Only
+the S_h functions take it: `sum_index` and the walk of F_{Q/2} behind
+(L, U) run in one process, and the other routes walk nothing."""
 
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain
 from operator import mul
 from typing import NamedTuple, Tuple, Union
 
@@ -107,43 +107,30 @@ def second_moment_prediction(q_max: int) -> float:
 # chunked walking machinery
 # ---------------------------------------------------------------------------
 
-def _chunk_index_sum(task) -> list:
-    """[exact sum of the indices of `steps` consecutive elements]."""
-    return [sum(map(sum, index_blocks(*task)))]
-
-
 def _chunk_autocorr(task) -> list:
     """Sums of nu_i * nu_{i+h} over `steps` consecutive elements gamma_i, one per lag h >= 0.
 
     The walk runs max(h) elements past the chunk, and each block of indices
-    is read together with the last max(h) indices before it, so every lag up
-    to the block size takes its partner from the same walk.  A longer lag
-    would make that carry unbounded, so it walks a stream of its own and
-    reads it from h elements on.
+    is read together with at least the last max(h) indices before it, so
+    every lag takes its partner from the same walk.  The older indices are
+    dropped once they outnumber those, so a long lag costs O(1) per element.
     """
     order, lags, pd, cd, steps = task
-    near = [h for h in lags if h <= farey._BLOCK]
-    far = {
-        h: islice(chain.from_iterable(index_blocks(order, pd, cd, h + steps)), h, None)
-        for h in lags
-        if h > farey._BLOCK
-    }
-    span = max(near, default=0)
+    span = max(lags)
     sums = dict.fromkeys(lags, 0)
-    carry: list = []
+    window: list = []  # the last indices walked, at least the last `span`
     first = 0  # chunk position of the block's first index
     for block in index_blocks(order, pd, cd, steps + span):
-        for h, partners in far.items():
-            sums[h] += sum(map(mul, block, partners))
-        window = carry + block
-        shift = len(carry) - first  # window position of a chunk position
-        for h in near:
+        if len(window) > 2 * span:
+            del window[:len(window) - span]
+        shift = len(window) - first  # window position of a chunk position
+        window += block
+        for h in lags:
             # the pairs whose later index is in this block and earlier one in the chunk
             lo = max(first, h) + shift
             hi = min(first + len(block), steps + h) + shift
             if lo < hi:
                 sums[h] += sum(map(mul, window[lo - h:hi - h], window[lo:hi]))
-        carry = window[len(window) - span:]
         first += len(block)
     return [sums[h] for h in lags]
 
@@ -231,10 +218,8 @@ def _indices_around(q_max: int, t, before: int, after: int) -> list:
     return back[::-1] + list(chain.from_iterable(index_blocks(q_max, q, q_next, after)))
 
 
-def _walk_args(ts, workers, allow_zero: bool = False) -> list:
-    """The cutoffs as fractions, each in (0, 1], or [0, 1] with allow_zero; workers an int >= 1."""
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, not {workers!r}")
+def _walk_args(ts, allow_zero: bool = False) -> list:
+    """The cutoffs as fractions, each in (0, 1], or [0, 1] with allow_zero."""
     ts = [Fraction(t) for t in ts]
     if not ts:
         raise ValueError("need at least one t")
@@ -247,7 +232,7 @@ def _walk_args(ts, workers, allow_zero: bool = False) -> list:
 # whole-sequence statistics
 # ---------------------------------------------------------------------------
 
-def partial_index_sums(q_max: int, ts, workers: int = 1) -> list[int]:
+def partial_index_sums(q_max: int, ts) -> list[int]:
     """Exact sums of indices over gamma <= t, one per t in `ts`, by the gap identity; no walk.
 
     With R = rank(t), the left moves of the Stern-Brocot descent toward t
@@ -257,9 +242,9 @@ def partial_index_sums(q_max: int, ts, workers: int = 1) -> list[int]:
         3 (R - V) + sum_i (floor((Q + b_{i-1})/b_i) - floor((Q - b_i)/b_{i-1})),
     and a run of j moves toward one right end over d telescopes to
     2 j + floor((Q - d)/b_i) - floor((Q - d)/b_{i-j}): O(log Q) steps and one
-    Farey rank per t.  `workers` is checked but unused.
+    Farey rank per t.
     """
-    ts = _walk_args(ts, workers, allow_zero=True)
+    ts = _walk_args(ts, allow_zero=True)
     sums = []
     for t, rank in zip(ts, farey_ranks(q_max, ts)):
         total = 3 * rank
@@ -272,23 +257,22 @@ def partial_index_sums(q_max: int, ts, workers: int = 1) -> list[int]:
     return sums
 
 
-def sum_index(q_max: int, workers: int = 1) -> int:
+def sum_index(q_max: int) -> int:
     """Exact sum of all N(Q) indices; equals 3 N(Q) - 1 identically.
 
     Walked, never read off the lattice or the gap identity, so that
     `identities` checks the lattice histogram against an independent route:
-    the walk covers (0, 1/2], and the mirror identity at c = 1/2 gives the
-    whole period.
+    one walk in this process covers (0, 1/2] from 0/1, 1/Q, and the mirror
+    identity at c = 1/2 gives the whole period.
     """
-    _walk_args([_HALF], workers)
-    half = _run_chunks(_chunk_index_sum, q_max, {_HALF}, workers)[_HALF][0]
+    half = sum(map(sum, index_blocks(q_max, 1, q_max, farey_ranks(q_max, [_HALF])[0])))
     tail = _index_of(q_max, _HALF) if q_max > 1 else 0  # T(1/2, [1/2 in F_Q])
     return half - _mirror(_index_of(q_max, Fraction(0)), half, tail)
 
 
-def partial_index_sum(q_max: int, t, workers: int = 1) -> int:
+def partial_index_sum(q_max: int, t) -> int:
     """Exact sum of indices over gamma <= t."""
-    return partial_index_sums(q_max, [t], workers)[0]
+    return partial_index_sums(q_max, [t])[0]
 
 
 @lru_cache(maxsize=1)  # `identities` reads the histogram and the count identity per order
@@ -364,44 +348,54 @@ def autocorr_sums(q_max: int, lags, ts=(1,), workers: int = 1) -> list[list[int]
     S_{h,t} sums nu_i * nu_{i+h} over gamma_i <= t, with indices cyclic mod
     N(Q), so t = 1 gives the full-period S_h(Q).  The index sequence has
     period N = N(Q), so every lag is reduced mod N first (lag 0 sums the
-    squares).  One walk covers (0, min(t, 1/2)] with the lookahead each lag
-    needs; a cutoff above 1/2 is read off it by the mirror identity, with T
-    read from the 2 max(s) + 1 indices around each cut.
+    squares).  One walk covers (0, min(t, 1/2)] with the lookahead each
+    lag s = min(g, N - g) needs, g = h mod N.  A cutoff above 1/2 is read
+    off it by the mirror identity, and at a cutoff t <= 1/2 the lag g = N - s
+    pairs nu_{i-s} with nu_i, so S_{g,t} = W(t) - T(t, s) + T(0, s) for the
+    lag s; T is read from the 2 max(s) + 1 indices around each cut.
+    `workers` is the chunk count of the walk (`_run_chunks`).
     """
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, not {workers!r}")
+    if not lags:
+        raise ValueError("need at least one h")
     if any(h < 1 for h in lags):
         raise ValueError("h must be >= 1")
-    ts = _walk_args(ts, workers)
+    ts = _walk_args(ts)
     n = totient_summatory(q_max)
     reduced = [h % n for h in lags]
     mirrored = [min(g, n - g) for g in reduced]
-    walk_lags = set(mirrored) if max(ts) > _HALF else set()
-    if min(ts) <= _HALF:
-        walk_lags.update(reduced)
-    distinct = tuple(sorted(walk_lags))
+    span = max(mirrored)
+    distinct = tuple(sorted(set(mirrored)))
     cuts = {min(t, 1 - t) for t in ts if t < 1}.union([_HALF] if max(ts) > _HALF else [])
     walked = {c: dict(zip(distinct, sums))
               for c, sums in _run_chunks(_chunk_autocorr, q_max, cuts, workers, distinct).items()}
+    windows = {}
+
+    def window_sum(c, s, m):
+        """T(c, m) for the lag s, read off the indices around c."""
+        if c not in windows:
+            windows[c] = _indices_around(q_max, c, span + 1, span)
+        w, lo = windows[c], span + 1 - m
+        return sum(map(mul, w[lo:span + 1], w[lo + s:span + 1 + s]))
+
+    def mirror(c, s, d):  # _mirror at the cut c for the walked lag s
+        return _mirror(window_sum(Fraction(0), s, d + 1), walked[c][s],
+                       window_sum(c, s, d + int(c.denominator <= q_max)))
+
     if max(ts) > _HALF:
-        span = max(mirrored)
-        windows = {c: _indices_around(q_max, c, span + 1, span)
-                   for c in {Fraction(0), _HALF}.union(1 - t for t in ts if _HALF < t < 1)}
+        whole = {s: walked[_HALF][s] - mirror(_HALF, s, s) for s in distinct}  # S_g = S_s
 
-        def window_sum(c, s, m):
-            """T(c, m) for the lag s, read off the indices around c."""
-            w, lo = windows[c], span + 1 - m
-            return sum(map(mul, w[lo:span + 1], w[lo + s:span + 1 + s]))
+    def lag_sum(t, g, s):
+        """S_{g,t} from the walked lag s."""
+        if t <= _HALF:
+            if g == s:
+                return walked[t][s]
+            # g = N - s pairs nu_{i-s} with nu_i: the walked pairs, shifted back by s
+            return walked[t][s] - window_sum(t, s, s) + window_sum(Fraction(0), s, s)
+        return whole[s] if t == 1 else whole[s] + mirror(1 - t, s, s if g == s else 0)
 
-        def mirror(c, s, d):  # _mirror at the cut c for the walked lag s
-            return _mirror(window_sum(Fraction(0), s, d + 1), walked[c][s],
-                           window_sum(c, s, d + int(c.denominator <= q_max)))
-
-        walked[Fraction(1)] = whole = {g: walked[_HALF][s] - mirror(_HALF, s, s)  # S_g = S_s
-                                       for g, s in zip(reduced, mirrored)}
-        for t in ts:
-            if _HALF < t < 1:
-                walked[t] = {g: whole[g] + mirror(1 - t, s, s if g == s else 0)
-                             for g, s in zip(reduced, mirrored)}
-    return [[walked[t][g] for t in ts] for g in reduced]
+    return [[lag_sum(t, g, s) for t in ts] for g, s in zip(reduced, mirrored)]
 
 
 def autocorr_sum(q_max: int, h: int, workers: int = 1) -> int:
@@ -476,7 +470,7 @@ def _index_value_counts(q_max: int, cuts) -> dict:
     return counts
 
 
-def lu_count_table(q_max: int, ks, ts=(1,), workers: int = 1) -> list[list[Tuple[int, int]]]:
+def lu_count_table(q_max: int, ks, ts=(1,)) -> list[list[Tuple[int, int]]]:
     """(L, U) for every k in `ks` (rows) and cutoff t in `ts` (columns), from one walk of F_{Q/2}.
 
     Every element over q has index floor((2Q+1)/q) - 1 or floor((2Q+1)/q),
@@ -488,12 +482,12 @@ def lu_count_table(q_max: int, ks, ts=(1,), workers: int = 1) -> list[list[Tuple
     where the first count is the rank of t in F_{c_k}.  The counts of index
     values come from `_index_value_counts` at each min(t, 1 - t), and above
     1/2 from the mirror identity with the counts over all of F_Q read off
-    the lattice histogram, so t = 1 walks nothing.  `workers` is checked but
-    unused: the walk runs in this process.
+    the lattice histogram, so t = 1 walks nothing.  The walk runs in this
+    process.
     """
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
-    ts = _walk_args(ts, workers)
+    ts = _walk_args(ts)
     counts = _index_value_counts(q_max, {min(t, 1 - t) for t in ts if t < 1})
     if max(ts) > _HALF:
         counts[Fraction(1)] = whole = Counter(index_histogram(q_max))
@@ -513,9 +507,9 @@ def lu_count_table(q_max: int, ks, ts=(1,), workers: int = 1) -> list[list[Tuple
     return [rows[k] for k in ks]
 
 
-def lu_counts(q_max: int, k: int, t=Fraction(1), workers: int = 1) -> Tuple[int, int]:
+def lu_counts(q_max: int, k: int, t=Fraction(1)) -> Tuple[int, int]:
     """(L, U): counts of gamma <= t with nu = k hitting floor((2Q+1)/q) - 1 resp. - 0."""
-    return lu_count_table(q_max, [k], [t], workers)[0][0]
+    return lu_count_table(q_max, [k], [t])[0][0]
 
 
 def hall_shiu_identity(q_max: int) -> Tuple[int, int]:
@@ -649,12 +643,12 @@ def moment_records(q_max: int, alphas) -> list[StatRecord]:
     return records
 
 
-def lu_table_records(q_max: int, ks, ts=(1,), workers: int = 1) -> list[StatRecord]:
+def lu_table_records(q_max: int, ks, ts=(1,)) -> list[StatRecord]:
     """An L row and a U row per (k, t), k outer and t inner, all from one walk of F_{Q/2}."""
     ts = [Fraction(t) for t in ts]
     n = totient_summatory(q_max)
     records = []
-    for k, row in zip(ks, lu_count_table(q_max, ks, ts, workers)):
+    for k, row in zip(ks, lu_count_table(q_max, ks, ts)):
         for t, (low, high) in zip(ts, row):
             suffix = f"k={k}" if t == 1 else f"k={k};t={t}"
             records.append(_make_record(
@@ -666,11 +660,11 @@ def lu_table_records(q_max: int, ks, ts=(1,), workers: int = 1) -> list[StatReco
     return records
 
 
-def partial_records(q_max: int, ts, workers: int = 1) -> list[StatRecord]:
+def partial_records(q_max: int, ts) -> list[StatRecord]:
     """One partial-sum row per t, by the gap identity; no walk."""
     ts = [Fraction(t) for t in ts]
     n = totient_summatory(q_max)
     return [
         _make_record(q_max, "partial", f"t={t}", exact, 3 * n * t, "Q^(3/2+eps)")
-        for t, exact in zip(ts, partial_index_sums(q_max, ts, workers))
+        for t, exact in zip(ts, partial_index_sums(q_max, ts))
     ]

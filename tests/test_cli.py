@@ -52,18 +52,23 @@ def test_identities_sieves_one_growing_moebius_table(capsys, monkeypatch):
 
 def test_identities_walks_the_index_sum(capsys, monkeypatch):
     # `identities` checks the index sum walk against lattice, so sum_index
-    # walks every order and never reads the lattice histogram
+    # walks (0, 1/2] of every order from 0/1, 1/Q, in this process, and
+    # never reads the lattice histogram
     walks = []
-    run_chunks = stats._run_chunks
+    index_blocks = stats.index_blocks
 
-    def counted(kernel, order, *args):
-        walks.append((kernel.__name__, order))
-        return run_chunks(kernel, order, *args)
+    def logged(order, pd, cd, count):
+        walks.append((order, pd, cd, count))
+        return index_blocks(order, pd, cd, count)
 
-    monkeypatch.setattr(stats, "_run_chunks", counted)
+    def no_chunks(*args):
+        raise AssertionError("sum_index cut its walk into chunks")
+
+    monkeypatch.setattr(stats, "index_blocks", logged)
+    monkeypatch.setattr(stats, "_run_chunks", no_chunks)
     code, out, _ = run_cli(capsys, "identities", "--q", "12")
     assert code == 0 and "identities: PASS (12/12)" in out
-    assert walks == [("_chunk_index_sum", q) for q in range(1, 13)]
+    assert walks == [(q, 1, q, farey.farey_ranks(q, (Fraction(1, 2),))[0]) for q in range(1, 13)]
 
     def no_lattice(q_max):
         raise AssertionError("sum_index read the lattice histogram")

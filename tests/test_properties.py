@@ -68,8 +68,8 @@ def test_multi_parameter_walks_property(q, lags, ks, ts, workers, block):
         patch.setattr(stats.os, "cpu_count", lambda: 1)
         patch.setattr(farey, "_BLOCK", block)
         assert autocorr_sums(q, lags, ts, workers) == brute_autocorr(q, lags, ts)
-        assert lu_count_table(q, ks, ts, workers) == brute_lu(q, ks, ts)
-        assert partial_index_sums(q, [0] + ts, workers) == brute_partial(q, [0] + ts)
+        assert lu_count_table(q, ks, ts) == brute_lu(q, ks, ts)
+        assert partial_index_sums(q, [0] + ts) == brute_partial(q, [0] + ts)
 
 
 @settings(max_examples=20, deadline=None)
@@ -97,8 +97,8 @@ def test_mirror_route_matches_full_period_walk_property(q, lags, ks, ts, workers
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stats.os, "cpu_count", lambda: 1)
         assert autocorr_sums(q, lags, ts, workers) == [row[1:] for row in autocorr]
-        assert lu_count_table(q, ks, ts, workers) == [row[1:] for row in lu]
-        assert partial_index_sums(q, [0] + ts, workers) == partial
+        assert lu_count_table(q, ks, ts) == [row[1:] for row in lu]
+        assert partial_index_sums(q, [0] + ts) == partial
 
 
 @settings(max_examples=30, deadline=None)
@@ -109,17 +109,14 @@ def test_mirror_route_matches_full_period_walk_property(q, lags, ks, ts, workers
         st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda t: t > 0),
         max_size=3,
     ),
-    workers=st.integers(1, 3),
 )
-def test_lu_counts_match_the_per_element_threshold_test(q, ks, ts, workers):
+def test_lu_counts_match_the_per_element_threshold_test(q, ks, ts):
     # L(k) = rank of t in F_{c_k} - #{nu > k}, U(k) = #{nu = k} - L(k), the
     # counts up to t > 1/2 closed by the lattice histogram; k = 1, 2Q (the
     # index of 1/1) and 2Q + 1 (never an index, c_k = 0), t = 1/2, t > 1/2, 1
     ks = [1, 2 * q, 2 * q + 1] + ks
     ts = [Fraction(1, 2), Fraction(3, 4), Fraction(1)] + ts
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(stats.os, "cpu_count", lambda: 1)
-        table = lu_count_table(q, ks, ts, workers)
+    table = lu_count_table(q, ks, ts)
     assert [list(column) for column in zip(*table)] == [brute_lu_counts(q, ks, t) for t in ts]
 
 

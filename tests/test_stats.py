@@ -182,8 +182,6 @@ def test_workers_reproduce_single_threaded_results():
         assert autocorr_sum_interval(400, 2, F(2, 3), workers=workers) == autocorr_sum_interval(
             400, 2, F(2, 3)
         )
-        assert lu_counts(400, 2, workers=workers) == lu_counts(400, 2)
-        assert partial_index_sum(400, F(1, 2), workers=workers) == partial_index_sum(400, F(1, 2))
 
 
 @pytest.mark.parametrize("workers", (1, 2, 3, 7))
@@ -196,8 +194,9 @@ def test_every_statistic_is_chunk_count_invariant(workers, monkeypatch):
         fr, dens, nus = brute_indices(q)
         n = len(nus)
         top = 2 * q + 1
-        assert sum_index(q, workers=workers) == sum(nus)
-        # the moments take no walk, so no worker count; their oracle stays
+        assert sum_index(q) == sum(nus)
+        # the index sum walks in one process, the moments, partial sums and
+        # (L, U) take no chunk count either; their oracles stay
         assert sum_index_power(q, 2) == sum(nu * nu for nu in nus)
         assert math.isclose(sum_index_power(q, F(1, 2)), sum(nu**0.5 for nu in sorted(nus)),
                             rel_tol=1e-12)
@@ -206,14 +205,14 @@ def test_every_statistic_is_chunk_count_invariant(workers, monkeypatch):
         )
         for t in (F(1, 3), F(1, 2), F(2, 3), F(1)):
             inside = [i for i in range(n) if fr[i] <= t]
-            assert partial_index_sum(q, t, workers=workers) == sum(nus[i] for i in inside)
+            assert partial_index_sum(q, t) == sum(nus[i] for i in inside)
             assert autocorr_sum_interval(q, 1, t, workers=workers) == sum(
                 nus[i] * nus[(i + 1) % n] for i in inside
             )
             for k in (1, 2):
                 low = sum(1 for i in inside if nus[i] == k == top // dens[i] - 1)
                 high = sum(1 for i in inside if nus[i] == k == top // dens[i])
-                assert lu_counts(q, k, t, workers=workers) == (low, high)
+                assert lu_counts(q, k, t) == (low, high)
 
 
 @pytest.mark.parametrize("workers", (1, 2, 3, 7))
@@ -231,8 +230,8 @@ def test_multi_parameter_walks_match_oracle(workers, monkeypatch):
             patch.setattr(farey, "_BLOCK", 2)  # block ends and lags past a block
             assert autocorr_sums(q, lags, ts, workers) == want
         ks = [2, 1, 4, 2]
-        assert lu_count_table(q, ks, ts, workers) == brute_lu(q, ks, ts)
-        assert partial_index_sums(q, ts + [F(0)], workers) == brute_partial(q, ts + [F(0)])
+        assert lu_count_table(q, ks, ts) == brute_lu(q, ks, ts)
+        assert partial_index_sums(q, ts + [F(0)]) == brute_partial(q, ts + [F(0)])
 
 
 @pytest.mark.parametrize("workers", (1, 3))
@@ -248,13 +247,13 @@ def test_mirror_route_matches_full_period_walk(workers, monkeypatch):
         ks = list(range(1, 2 * q + 2))
         autocorr, lu, partial = full_period_sums(q, lags, ks, [F(0)] + grid)
         assert autocorr_sums(q, lags, grid, workers) == [row[1:] for row in autocorr]
-        assert lu_count_table(q, ks, grid, workers) == [row[1:] for row in lu]
-        assert partial_index_sums(q, [F(0)] + grid, workers) == partial
+        assert lu_count_table(q, ks, grid) == [row[1:] for row in lu]
+        assert partial_index_sums(q, [F(0)] + grid) == partial
 
 
 def test_lags_past_half_the_period_walk_their_mirror(monkeypatch):
-    # S_h = S_{N-h}, and above 1/2 a lag h > N/2 is read off the lag N - h,
-    # so no walk runs more than N - h + 1 elements past its chunk or cut
+    # S_h = S_{N-h}, and at every cutoff a lag h > N/2 is read off the lag
+    # N - h, so no walk runs more than N - h + 1 elements past its chunk or cut
     walked = []
     index_blocks = stats.index_blocks
 
@@ -265,7 +264,7 @@ def test_lags_past_half_the_period_walk_their_mirror(monkeypatch):
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(stats, "index_blocks", logged)
     n = totient_summatory(40)
-    ts = [F(3, 4), F(1)]
+    ts = [F(1, 3), F(3, 4), F(1)]
     assert autocorr_sums(40, [n - 1, n - 2], ts) == brute_autocorr(40, [n - 1, n - 2], ts)
     assert sum(walked) <= farey.farey_ranks(40, (F(1, 2),))[0] + 3 * len(walked)
 
@@ -278,7 +277,7 @@ def test_lags_reduced_mod_period_at_every_cutoff(monkeypatch):
         for t in (F(1, 4), F(3, 5), F(1)):
             assert autocorr_sum_interval(5, h, t) == brute_autocorr(5, [h], [t])[0][0]
     # Q = 120 has N = 4386 elements: lags past the kernel's block take their
-    # partner from a stream of their own
+    # partner from a carry longer than a block
     n = totient_summatory(120)
     lags = [n - 1, farey._BLOCK + 1, 2, farey._BLOCK, n + 5]
     ts = [F(2, 7), F(1)]
@@ -376,22 +375,25 @@ def test_moment_records_walk_one_histogram(monkeypatch):
         moment_records(200, [F(1, 2), 0])
 
 
-# every public function that takes an order Q, with the arguments after Q;
-# the ones that also take `workers` come first
+# every public function that takes an order Q, with the arguments after Q:
+# the chunked S_h walks, which take `workers`, then the ones that walk in one
+# process or not at all
 _WALKS = [
-    (sum_index, ()),
-    (partial_index_sum, (F(1, 3),)),
-    (partial_index_sums, ([F(2, 3), 1],)),
     (autocorr_sum, (1,)),
     (autocorr_sum_interval, (1, F(1, 3))),
     (autocorr_sums, ([1, 2], [F(2, 3), 1])),
+    (autocorr_records, ([1],)),
+]
+_UNCHUNKED = [
+    (sum_index, ()),
+    (partial_index_sum, (F(1, 3),)),
+    (partial_index_sums, ([F(2, 3), 1],)),
     (lu_counts, (1,)),
     (lu_count_table, ([1], [1])),
-    (autocorr_records, ([1],)),
     (lu_table_records, ([1],)),
     (partial_records, ([F(1, 3)],)),
 ]
-_ORDER_TAKING = _WALKS + [
+_ORDER_TAKING = _WALKS + _UNCHUNKED + [
     (farey.seek, (F(1, 2),)),
     (farey.farey_ranks, ([F(1, 2)],)),
     (totient_summatory, ()),
@@ -411,17 +413,31 @@ def test_orders_below_one_are_refused(fn, args, order):
         fn(order, *args)
 
 
+def _no_walk(*args):
+    raise AssertionError("walked before validating")
+
+
 @pytest.mark.parametrize("workers", [0, -1, 2.7])
-@pytest.mark.parametrize("fn, args", _WALKS, ids=[fn.__name__ for fn, _ in _WALKS])
+@pytest.mark.parametrize("fn, args", _WALKS + _UNCHUNKED,
+                         ids=[fn.__name__ for fn, _ in _WALKS + _UNCHUNKED])
 def test_chunk_counts_below_one_or_not_integers_are_refused(fn, args, workers, monkeypatch):
     # they used to become max(1, int(workers)) chunks, or none where t = 1
-    # walks nothing
-    def no_walk(*args):
-        raise AssertionError("walked before validating")
-
-    monkeypatch.setattr(stats, "_run_chunks", no_walk)
-    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+    # walks nothing; a function that starts no pool takes no chunk count
+    monkeypatch.setattr(stats, "_run_chunks", _no_walk)
+    error, message = ((ValueError, "workers must be an integer >= 1") if (fn, args) in _WALKS
+                      else (TypeError, "unexpected keyword argument 'workers'"))
+    with pytest.raises(error, match=message):
         fn(30, *args, workers=workers)
+
+
+@pytest.mark.parametrize("t", [F(1, 3), F(1, 2), F(2, 3), F(1)])
+def test_empty_lags_are_refused(t, monkeypatch):
+    # above 1/2 they used to fail in max() of an empty sequence, and up to
+    # 1/2 give no rows
+    monkeypatch.setattr(stats, "_run_chunks", _no_walk)
+    for fn in (autocorr_sums, autocorr_records):
+        with pytest.raises(ValueError, match="need at least one h"):
+            fn(100, [], [t])
 
 
 def test_visible_points_counts():
