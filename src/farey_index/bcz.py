@@ -166,23 +166,10 @@ def upper_lower_triangles(k: int) -> Tuple[ConvexPolygon, ConvexPolygon]:
     """
     if k < 1:
         raise ValueError("region index must be >= 1")
-    lower = ConvexPolygon(
-        (
-            (Fraction(k, k + 2), Fraction(2, k + 2)),
-            (Fraction(k - 1, k + 1), Fraction(2, k + 1)),
-            (1, Fraction(2, k + 1)),
-        )
-    )
-    if k == 1:
-        return ConvexPolygon(), lower
-    upper = ConvexPolygon(
-        (
-            (1, Fraction(2, k)),
-            (Fraction(k - 1, k + 1), Fraction(2, k + 1)),
-            (1, Fraction(2, k + 1)),
-        )
-    )
-    return upper, lower
+    # the diagonal y = 2/(k+1) of region k; for k = 1 it is the top edge
+    region = region_polygon(k)
+    below, above, den = _split_halfplane_points(region.coords, region.den, 0, k + 1, 2)
+    return _polygon(above, den), _polygon(below, den)
 
 
 @lru_cache(maxsize=None)

@@ -13,10 +13,10 @@ Payloads are streamed to standard output or to the --out file, which is
 opened before any work; CSV goes out in blocks of rows, and the `orbit` dump
 is formatted from integers as it is written, so its memory does not grow
 with its length.  A run manifest (command, parameters, artifact version,
-wall-clock duration, worker count) is written next to --out files, embedded
-in JSON output, or sent to standard error otherwise.  Numeric payloads are
-deterministic: the same manifest reproduces byte-identical data for any
-worker count.
+wall-clock duration, the requested --workers) is written next to --out
+files, embedded in JSON output, or sent to standard error otherwise.
+Numeric payloads are deterministic: the same manifest reproduces
+byte-identical data for any worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -88,7 +87,7 @@ _BLOCK_ROWS = 1024
 
 
 class _UsageError(Exception):
-    """A usage problem found once a command has started: `main` exits 2."""
+    """A usage problem, out-of-domain input included: `main` prints it and exits 2."""
 
 
 class _Output:
@@ -100,12 +99,12 @@ class _Output:
     --out file also when the command stops early.
     """
 
-    def __init__(self, args, command: str, parameters: dict, workers: int = 1):
+    def __init__(self, args, command: str, parameters: dict):
         self.out_path: Optional[str] = getattr(args, "out", None)
         self.format = args.format
         self.command = command
         self.parameters = parameters
-        self.workers = workers
+        self.workers = args.workers
         self.started = time.monotonic()
         self.sink = sys.stdout
         if self.out_path:
@@ -173,11 +172,9 @@ def _progress(message: str) -> None:
 
 def cmd_identities(args) -> int:
     if args.q < 1:
-        _progress("identities: --q must be >= 1")
-        return 2
+        raise _UsageError("identities: --q must be >= 1")
     if args.format == "json":
-        _progress("identities: --format json is not supported; the report is plain text")
-        return 2
+        raise _UsageError("identities: --format json is not supported; the report is plain text")
     with _Output(args, "identities", {"q_max": args.q}) as out:
         failures = []
         for q in range(1, args.q + 1):
@@ -206,24 +203,20 @@ def cmd_identities(args) -> int:
     return 0 if not failures else 1
 
 
-def _constants_usage_problem(args) -> Optional[str]:
-    """What is out of domain in the constants arguments, or None."""
+def _constants_usage_problem(args) -> None:
+    """Refuse what is out of domain in the constants arguments."""
     if any(not 1 <= h <= MAX_LAG for h in args.h or []):
-        return f"every --h must lie in [1, {MAX_LAG}]"
+        raise _UsageError(f"constants: every --h must lie in [1, {MAX_LAG}]")
     if any(not 0 < alpha < 2 for alpha in args.alpha or []):
-        return "every --alpha must lie in (0, 2)"
+        raise _UsageError("constants: every --alpha must lie in (0, 2)")
     if args.k is not None and args.k < 1:
-        return "--k must be >= 1"
+        raise _UsageError("constants: --k must be >= 1")
     if not args.tol > 0:
-        return "--tol must be positive"
-    return None
+        raise _UsageError("constants: --tol must be positive")
 
 
 def cmd_constants(args) -> int:
-    problem = _constants_usage_problem(args)
-    if problem:
-        _progress(f"constants: {problem}")
-        return 2
+    _constants_usage_problem(args)
     h_list = args.h or [1]
     alpha_list = args.alpha or []
     k_max = args.k or 1
@@ -278,8 +271,7 @@ def cmd_constants(args) -> int:
 
 def cmd_tables(args) -> int:
     if not 1 <= args.h <= MAX_LAG or args.M < 2:
-        _progress(f"tables: need --h in [1, {MAX_LAG}] and --M >= 2")
-        return 2
+        raise _UsageError(f"tables: need --h in [1, {MAX_LAG}] and --M >= 2")
     with _Output(args, "tables", {"h": args.h, "M": args.M}) as out:
         _progress(f"computing {args.M}x{args.M} star-intersection table for h={args.h} ...")
         table = bcz.intersection_area_table(args.h, args.M)
@@ -302,39 +294,38 @@ def cmd_tables(args) -> int:
 _CONVERGE_PARAMETERS = {"S_h": ("h", "t"), "moment": ("alpha",), "LU": ("k", "t"), "partial": ("t",)}
 
 
-def _converge_usage_problem(args, q_list: list[int]) -> Optional[str]:
-    """What is out of domain in the converge arguments, or None."""
+def _converge_usage_problem(args, q_list: list[int]) -> None:
+    """Refuse what is out of domain in the converge arguments."""
     for name in ("h", "alpha", "k", "t"):
         if getattr(args, name) is not None and name not in _CONVERGE_PARAMETERS[args.stat]:
-            return f"--{name} does not apply to {args.stat}"
+            raise _UsageError(f"converge: --{name} does not apply to {args.stat}")
     if q_list[0] < 1:
-        return "every order in --q-list must be >= 1"
+        raise _UsageError("converge: every order in --q-list must be >= 1")
     if any(not 1 <= h <= MAX_LAG for h in args.h or []):
-        return f"every --h must lie in [1, {MAX_LAG}]"
+        raise _UsageError(f"converge: every --h must lie in [1, {MAX_LAG}]")
     if any(k < 1 for k in args.k or []):
-        return "every --k must be >= 1"
+        raise _UsageError("converge: every --k must be >= 1")
     if any(not 0 < alpha <= 2 for alpha in args.alpha or []):
-        return "every --alpha must lie in (0, 2]"
+        raise _UsageError("converge: every --alpha must lie in (0, 2]")
     if args.stat == "moment" and 2 in (args.alpha or []) and q_list[0] < 2:
-        return "--alpha 2 needs every order in --q-list to be >= 2"
+        raise _UsageError("converge: --alpha 2 needs every order in --q-list to be >= 2")
     if args.stat == "partial":
         if any(not 0 <= t <= 1 for t in args.t or []):
-            return "every --t must lie in [0, 1]"
+            raise _UsageError("converge: every --t must lie in [0, 1]")
     elif any(not 0 < t <= 1 for t in args.t or []):
-        return "every --t must lie in (0, 1]"
-    return None
+        raise _UsageError("converge: every --t must lie in (0, 1]")
+
+
+def _cell(value) -> str:
+    """An exact int or Fraction as it prints; any other value by `_real`."""
+    return str(value) if isinstance(value, (int, Fraction)) else _real(value)
 
 
 def cmd_converge(args) -> int:
     q_list = args.q_list or ([args.q] if args.q is not None else [])
     if not q_list or sorted(q_list) != q_list:
-        _progress("converge: need an ascending --q-list")
-        return 2
-    problem = _converge_usage_problem(args, q_list)
-    if problem:
-        _progress(f"converge: {problem}")
-        return 2
-    workers = args.workers
+        raise _UsageError("converge: need an ascending --q-list")
+    _converge_usage_problem(args, q_list)
     with _Output(
         args,
         "converge",
@@ -346,14 +337,13 @@ def cmd_converge(args) -> int:
             "k": args.k,
             "t": [str(t) for t in (args.t or [])],
         },
-        workers=workers,
     ) as out:
         records: list[StatRecord] = []
         ts = args.t or [Fraction(1)]
         for q in q_list:
             _progress(f"converge {args.stat}: Q={q}")
             if args.stat == "S_h":
-                records.extend(stats.autocorr_records(q, args.h or [1], ts, workers=workers))
+                records.extend(stats.autocorr_records(q, args.h or [1], ts, workers=args.workers))
             elif args.stat == "moment":
                 records.extend(stats.moment_records(q, args.alpha or [Fraction(1)]))
             elif args.stat == "LU":
@@ -361,31 +351,11 @@ def cmd_converge(args) -> int:
             else:
                 records.extend(stats.partial_records(q, ts))
 
-        rows = []
-        for rec in records:
-            prediction = (
-                str(rec.prediction)
-                if isinstance(rec.prediction, Fraction)
-                else _real(rec.prediction)
-            )
-            abs_dev = abs(rec.ratio - 1) if not math.isnan(rec.ratio) else math.nan
-            exact = (
-                str(rec.exact_value)
-                if isinstance(rec.exact_value, (int, Fraction))
-                else _real(rec.exact_value)
-            )
-            rows.append(
-                [
-                    rec.order,
-                    rec.stat,
-                    rec.parameter,
-                    exact,
-                    prediction,
-                    _real(rec.ratio),
-                    _real(abs_dev),
-                    rec.error_bound_form,
-                ]
-            )
+        rows = [
+            [rec.order, rec.stat, rec.parameter, _cell(rec.exact_value), _cell(rec.prediction),
+             _real(rec.ratio), _real(abs(rec.ratio - 1)), rec.error_bound_form]
+            for rec in records
+        ]
         out.write_rows(["Q", "stat", "param", "exact", "prediction", "ratio", "abs_dev", "error_bound"],
                        rows)
         out.finish()
@@ -394,21 +364,18 @@ def cmd_converge(args) -> int:
 
 def cmd_orbit(args) -> int:
     if args.format == "json":
-        _progress("orbit: --format json is not supported; the dump is CSV")
-        return 2
+        raise _UsageError("orbit: --format json is not supported; the dump is CSV")
     if args.x is not None and args.y is not None and args.q is None:
         start = (args.x, args.y)
         if not (0 < args.x <= 1 and 0 < args.y <= 1 and args.x + args.y > 1):
-            _progress("orbit: the start (x, y) must lie in the Farey triangle 0 < x, y <= 1 < x + y")
-            return 2
+            raise _UsageError(
+                "orbit: the start (x, y) must lie in the Farey triangle 0 < x, y <= 1 < x + y")
     elif args.q is not None and args.q >= 1 and args.x is None and args.y is None:
         start = (Fraction(1, args.q), Fraction(1))
     else:
-        _progress("orbit: give either --q >= 1 or both --x and --y")
-        return 2
+        raise _UsageError("orbit: give either --q >= 1 or both --x and --y")
     if args.r is not None and args.r < 0:
-        _progress("orbit: --r must be >= 0")
-        return 2
+        raise _UsageError("orbit: --r must be >= 0")
     r = args.r if args.r is not None else (stats.totient_summatory(args.q) if args.q else 10)
     with _Output(args, "orbit", {"x": str(start[0]), "y": str(start[1]), "r": r}) as out:
         out.write_rows(["i", "L_i", "kappa_i"], _orbit_rows(*start, r))
@@ -441,11 +408,9 @@ def _orbit_rows(x: Fraction, y: Fraction, r: int):
 
 def cmd_visible(args) -> int:
     if args.scale < 1:
-        _progress("visible: --scale must be >= 1")
-        return 2
+        raise _UsageError("visible: --scale must be >= 1")
     if any(index is not None and index < 1 for index in (args.k, args.star)):
-        _progress("visible: --k and --star must be >= 1")
-        return 2
+        raise _UsageError("visible: --k and --star must be >= 1")
     if args.square:
         region = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
         label = "unit_square"
@@ -488,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workers",
             type=_worker_count,
-            default=os.environ.get("FAREY_INDEX_WORKERS", "1"),
-            help="chunk count of the converge S_h walk (default $FAREY_INDEX_WORKERS or 1)",
+            default="1",
+            help="chunk count of the converge S_h walk, recorded in every manifest (default 1)",
         )
 
     p = sub.add_parser("identities", help="exact identity checks for all Q <= bound")
@@ -549,18 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name, value in vars(args).items():
-        if not isinstance(value, list):
-            continue
-        option = "--" + name.replace("_", "-")
-        if not value:  # an empty comma list, which must not fall back to a default
-            _progress(f"{args.command}: {option} needs at least one value")
-            return 2
-        repeated = [v for i, v in enumerate(value) if v in value[:i]]
-        if repeated:  # it would be computed and printed twice
-            _progress(f"{args.command}: {option} repeats the value {repeated[0]}")
-            return 2
     try:
+        for name, value in vars(args).items():
+            if not isinstance(value, list):
+                continue
+            option = "--" + name.replace("_", "-")
+            if not value:  # an empty comma list, which must not fall back to a default
+                raise _UsageError(f"{args.command}: {option} needs at least one value")
+            repeated = [v for i, v in enumerate(value) if v in value[:i]]
+            if repeated:  # it would be computed and printed twice
+                raise _UsageError(f"{args.command}: {option} repeats the value {repeated[0]}")
         return args.fn(args)
     except _UsageError as exc:
         _progress(str(exc))

@@ -208,20 +208,6 @@ def polygon_area(p: ConvexPolygon) -> Fraction:
     return Fraction(_area2(p.coords), 2 * p.den * p.den)
 
 
-def _bbox(p: ConvexPolygon, scale: int):
-    xs = [x * scale for x, _ in p.coords]
-    ys = [y * scale for _, y in p.coords]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
-def _bboxes_cannot_overlap(p: ConvexPolygon, q: ConvexPolygon) -> bool:
-    # both boxes over the denominator p.den * q.den
-    px0, py0, px1, py1 = _bbox(p, q.den)
-    qx0, qy0, qx1, qy1 = _bbox(q, p.den)
-    # touching boxes can only share a degenerate slice, which normalizes empty
-    return px1 <= qx0 or qx1 <= px0 or py1 <= qy0 or qy1 <= py0
-
-
 def _split_halfplane_points(pts, den: int, a: int, b: int, c: int):
     """One Sutherland-Hodgman pass on integers.
 
@@ -262,8 +248,6 @@ def _split_halfplane_points(pts, den: int, a: int, b: int, c: int):
 def clip_convex(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     """Exact intersection p . q of two convex polygons (possibly empty)."""
     if not p.coords or not q.coords:
-        return EMPTY_POLYGON
-    if _bboxes_cannot_overlap(p, q):
         return EMPTY_POLYGON
     pts, den = list(p.coords), p.den
     qv, e = q.coords, q.den

@@ -8,6 +8,7 @@ import pytest
 
 from farey_index import (
     FAREY_TRIANGLE,
+    ConvexPolygon,
     GeometryError,
     bcz,
     Point2,
@@ -118,6 +119,16 @@ def test_upper_lower_triangles_and_frequencies():
         assert lower_frequency(k) == 4 * (F(1, (k + 1) ** 2) - F(1, k + 1) + F(1, k + 2))
         if k >= 2:
             assert upper_frequency(k) == 4 * (F(1, k) - F(1, k + 1) - F(1, (k + 1) ** 2))
+
+
+def test_upper_lower_triangles_are_the_vertex_formulas():
+    # the split of region k along y = 2/(k+1), against its vertices written out
+    for k in range(1, 201):
+        lower = ConvexPolygon(((F(k, k + 2), F(2, k + 2)), (F(k - 1, k + 1), F(2, k + 1)),
+                               (1, F(2, k + 1))))
+        upper = ConvexPolygon() if k == 1 else ConvexPolygon(
+            ((1, F(2, k)), (F(k - 1, k + 1), F(2, k + 1)), (1, F(2, k + 1))))
+        assert upper_lower_triangles(k) == (upper, lower)
 
 
 def test_push_forward_identity_and_mirror():

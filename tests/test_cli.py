@@ -314,9 +314,8 @@ def test_largest_lag_is_accepted(capsys, monkeypatch):
     [
         (("--workers", "0"), None),
         (("--workers", "-3"), None),
-        ((), "abc"),
+        (("--workers", "abc"), "2"),  # FAREY_INDEX_WORKERS is not read, even when valid
         (("--workers", "257"), None),
-        ((), "257"),
     ],
 )
 def test_workers_below_one_or_not_an_integer_is_a_usage_error(capsys, monkeypatch, argv,
@@ -335,14 +334,36 @@ def test_workers_below_one_or_not_an_integer_is_a_usage_error(capsys, monkeypatc
     assert "--workers" in captured.err and "positive integer" in captured.err
 
 
-def test_workers_default_from_environment(tmp_path, capsys, monkeypatch):
+def test_workers_default_ignores_the_environment(tmp_path, capsys, monkeypatch):
+    # the default is 1; no environment variable supplies it
     monkeypatch.setenv("FAREY_INDEX_WORKERS", "3")
-    monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)  # chunks run in this process
     out_file = tmp_path / "run.csv"
     code, _, _ = run_cli(capsys, "converge", "partial", "--q", "20", "--out", str(out_file))
     assert code == 0
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
-    assert manifest["workers"] == 3
+    assert manifest["workers"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("identities", "--q", "5"),
+        ("constants", "--k", "2"),
+        ("tables", "--h", "1", "--M", "2"),
+        ("converge", "S_h", "--q", "10"),
+        ("converge", "moment", "--q", "10"),
+        ("converge", "LU", "--q", "10"),
+        ("converge", "partial", "--q", "10"),
+        ("orbit", "--q", "5"),
+        ("visible", "--scale", "5"),
+    ],
+)
+def test_manifest_records_the_requested_workers(capsys, monkeypatch, argv):
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)  # chunks run in this process
+    code, _, err = run_cli(capsys, *argv, "--workers", "3")
+    assert code == 0
+    [line] = [line for line in err.splitlines() if line.startswith("manifest: ")]
+    assert json.loads(line[len("manifest: "):])["workers"] == 3
 
 
 @pytest.mark.parametrize(
