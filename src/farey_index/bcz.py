@@ -115,37 +115,25 @@ def orbit(p: Point2, r: int) -> OrbitState:
 def region_polygon(k: int) -> ConvexPolygon:
     """Closure of the region with branch index k.
 
-    k = 1 is the top triangle (0,1), (1,1), (1/3, 2/3); for k >= 2 the region
-    is the quadrilateral between the lines y = (1+x)/k and y = (1+x)/(k+1).
+    It is star_k cut by 1 + x <= (k+1) y: for k = 1 the top triangle (0,1),
+    (1,1), (1/3, 2/3); for k >= 2 the quadrilateral between the lines
+    y = (1+x)/k and y = (1+x)/(k+1).
     """
-    if k < 1:
-        raise ValueError("region index must be >= 1")
-    if k == 1:
-        return ConvexPolygon(((0, 1), (1, 1), (Fraction(1, 3), Fraction(2, 3))))
-    return ConvexPolygon(
-        (
-            (Fraction(k - 1, k + 1), Fraction(2, k + 1)),
-            (1, Fraction(2, k)),
-            (1, Fraction(2, k + 1)),
-            (Fraction(k, k + 2), Fraction(2, k + 2)),
-        )
-    )
+    below, _, den = _split_halfplane_points(*region_star_polygon(k), 1, -(k + 1), -1)
+    return _polygon(below, den)
 
 
 @lru_cache(maxsize=None)
 def region_star_polygon(k: int) -> ConvexPolygon:
-    """Closure of the union of all regions with index >= k (a triangle)."""
+    """Closure of the union of all regions with index >= k (a triangle).
+
+    It is the Farey triangle cut by 1 + x >= k y; for k = 1 the whole
+    triangle, for k >= 2 the triangle (1, 0), (1, 2/k), ((k-1)/(k+1), 2/(k+1)).
+    """
     if k < 1:
         raise ValueError("region index must be >= 1")
-    if k == 1:
-        return FAREY_TRIANGLE
-    return ConvexPolygon(
-        (
-            (Fraction(k - 1, k + 1), Fraction(2, k + 1)),
-            (1, Fraction(2, k)),
-            (1, 0),
-        )
-    )
+    below, _, den = _split_halfplane_points(*FAREY_TRIANGLE, -1, k, 1)
+    return _polygon(below, den)
 
 
 @lru_cache(maxsize=None)
@@ -167,8 +155,7 @@ def upper_lower_triangles(k: int) -> Tuple[ConvexPolygon, ConvexPolygon]:
     if k < 1:
         raise ValueError("region index must be >= 1")
     # the diagonal y = 2/(k+1) of region k; for k = 1 it is the top edge
-    region = region_polygon(k)
-    below, above, den = _split_halfplane_points(region.coords, region.den, 0, k + 1, 2)
+    below, above, den = _split_halfplane_points(*region_polygon(k), 0, k + 1, 2)
     return _polygon(above, den), _polygon(below, den)
 
 
@@ -241,7 +228,7 @@ def _region_parts(piece: ConvexPolygon):
     rest = piece
     while True:
         # rest is piece . star_k; the line 1 + x = (k+1) y cuts off region k
-        below, above, den = _split_halfplane_points(rest.coords, rest.den, 1, -(k + 1), -1)
+        below, above, den = _split_halfplane_points(*rest, 1, -(k + 1), -1)
         parts.append((k, _polygon(below, den)))
         rest = _polygon(above, den)
         if not rest:
@@ -280,11 +267,11 @@ def push_forward(s: SetLike, h: int) -> PolygonSet:
 # Star-intersection areas and the autocorrelation constants
 # ---------------------------------------------------------------------------
 
-# The split of T^h star_m is built from the split of depth h - 1.  Only the
-# parts of the deepest split built so far are kept per m, since nothing else
-# reads parts; the small (stars, profile) summary is kept for every (m, h).
-_star_summaries: dict = {}
-_deepest_split: dict = {}
+# The split of T^h star_m is built from the split of depth h - 1.  Per m,
+# _star_splits keeps the parts and stars of the deepest split built so far,
+# since nothing else reads parts, and the (stars, profile) summary of every
+# depth up to it.
+_star_splits: dict = {}
 
 
 def _star_image(m: int, h: int):
@@ -294,13 +281,8 @@ def _star_image(m: int, h: int):
     pairs each region k with the area of the image in it.  Depth 0 is star_m
     whole; depth h splits the image of depth h - 1.
     """
-    summary = _star_summaries.get((m, h))
-    if summary is not None:
-        return summary
-    depth, parts, stars = _deepest_split.get(m, (0, (), (m,)))
-    if depth >= h:  # the parts of depth h were discarded: split again from star_m
-        depth, parts, stars = 0, (), (m,)
-    while depth < h:
+    parts, stars, summaries = _star_splits.setdefault(m, ((), (m,), [((m,), ())]))
+    while len(summaries) <= h:
         pieces = _map_split(parts, stars)
         parts = []
         stars = ()
@@ -308,16 +290,14 @@ def _star_image(m: int, h: int):
             split, star = _region_parts(piece)
             parts += split
             stars += star
-        depth += 1
         profile = {}
         for k, part in parts:
             profile[k] = profile.get(k, 0) + polygon_area(part)
         if sum(profile.values()) + sum(star_area(j) for j in stars) != star_area(m):
             raise GeometryError("push-forward lost area")
-        _star_summaries[m, depth] = stars, tuple(sorted(profile.items()))
-    if depth > _deepest_split.get(m, (0,))[0]:
-        _deepest_split[m] = depth, parts, stars
-    return _star_summaries[m, h]
+        summaries.append((stars, tuple(sorted(profile.items()))))
+        _star_splits[m] = parts, stars, summaries
+    return summaries[h]
 
 
 def star_intersection_area(h: int, m: int, n: int) -> Fraction:

@@ -4,11 +4,12 @@ A convex polygon is held as integer vertex pairs (X, Y) over one common
 denominator D > 0, the vertex (X/D, Y/D), with D reduced by the gcd of D and
 all coordinates.  Splits, unimodular images and areas run on these integers
 alone, so every operation is exact: there are no epsilons and no rounding,
-and no `fractions.Fraction` arithmetic on the hot path.  Polygons are
-immutable value objects in a canonical form (counterclockwise order, no
-repeated or collinear vertices, vertex cycle rotated to start at the
-lexicographically smallest point), which makes equality structural and
-hashing safe.  The `vertices` view gives the same vertices as `Point2`s of
+and no `fractions.Fraction` arithmetic on the hot path.  A polygon is a
+`(coords, den)` NamedTuple, like every other value type here, in a canonical
+form (counterclockwise order, no repeated or collinear vertices, vertex cycle
+rotated to start at the lexicographically smallest point), so it is
+immutable, has tuple length and iteration, and compares and hashes by its
+fields.  The `vertices` view gives the same vertices as `Point2`s of
 `Fraction` coordinates, and a reported area is a `Fraction`.
 
 A half-plane split is the only operation that makes new denominators; its
@@ -52,13 +53,6 @@ class Point2(NamedTuple("Point2", [("x", Fraction), ("y", Fraction)])):
 
 
 PointLike = Union[Point2, Tuple[RationalLike, RationalLike]]
-
-
-def _as_point(p: PointLike) -> Point2:
-    if isinstance(p, Point2):
-        return p
-    x, y = p
-    return Point2(_coerce(x), _coerce(y))
 
 
 def _cross(o, a, b) -> int:
@@ -114,13 +108,14 @@ def _canonical(pts, den: int):
 
 def _over_common_denominator(raw):
     """Rational points as integer pairs over the lcm of their denominators."""
-    pts = [_as_point(p) for p in raw]
+    pts = [Point2(*p) for p in raw]
     den = math.lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
     return [(p.x.numerator * (den // p.x.denominator), p.y.numerator * (den // p.y.denominator))
             for p in pts], den
 
 
-class ConvexPolygon:
+class ConvexPolygon(NamedTuple("ConvexPolygon", [("coords", Tuple[Tuple[int, int], ...]),
+                                                ("den", int)])):
     """A convex polygon in canonical form; may be empty.
 
     `coords` holds the integer vertex pairs and `den` their common
@@ -130,39 +125,17 @@ class ConvexPolygon:
     GeometryError; degenerate input becomes empty.
     """
 
-    __slots__ = ("coords", "den")
+    __slots__ = ()
 
-    def __init__(self, vertices: Iterable[PointLike] = ()):
-        coords, den = _canonical(*_over_common_denominator(vertices))
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _from_canonical(cls, coords, den: int) -> "ConvexPolygon":
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "coords", coords)
-        object.__setattr__(poly, "den", den)
-        return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConvexPolygon is immutable")
+    def __new__(cls, vertices: Iterable[PointLike] = ()):
+        return cls._make(_canonical(*_over_common_denominator(vertices)))
 
     def __reduce__(self):
-        return ConvexPolygon._from_canonical, (self.coords, self.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConvexPolygon):
-            return NotImplemented
-        return self.den == other.den and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.coords, self.den))
+        # __new__ takes vertices, not fields
+        return ConvexPolygon._make, (tuple(self),)
 
     def __bool__(self) -> bool:
         return bool(self.coords)
-
-    def __repr__(self) -> str:
-        return f"ConvexPolygon(coords={self.coords!r}, den={self.den})"
 
     @property
     def vertices(self) -> Tuple[Point2, ...]:
@@ -173,7 +146,7 @@ class ConvexPolygon:
 
 def _polygon(pts, den: int) -> ConvexPolygon:
     """The canonical polygon of integer points over den."""
-    return ConvexPolygon._from_canonical(*_canonical(pts, den))
+    return ConvexPolygon._make(_canonical(pts, den))
 
 
 EMPTY_POLYGON = ConvexPolygon()
@@ -276,4 +249,4 @@ def apply_map(p: ConvexPolygon, m: UnimodularMap) -> ConvexPolygon:
     if m.determinant < 0:
         pts.reverse()
     start = min(range(len(pts)), key=pts.__getitem__)
-    return ConvexPolygon._from_canonical(tuple(pts[start:] + pts[:start]), p.den)
+    return ConvexPolygon._make((tuple(pts[start:] + pts[:start]), p.den))

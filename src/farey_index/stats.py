@@ -135,8 +135,8 @@ def _chunk_autocorr(task) -> list:
     return [sums[h] for h in lags]
 
 
-def _run_chunks(kernel, q_max: int, wanted, workers: int, *params) -> dict:
-    """{c: elementwise sums of `kernel` over the chunks that tile (0, c]} for each c in `wanted`.
+def _run_chunks(q_max: int, lags, wanted, workers: int) -> dict:
+    """{c: `_chunk_autocorr` of `lags`, summed over the chunks that tile (0, c]} for c in `wanted`.
 
     The cuts lie in [0, 1/2]; the walk covers (0, T], T = max(wanted), cut at
     each wanted c and at `workers` equal slices of (0, T], so one walk serves
@@ -152,14 +152,14 @@ def _run_chunks(kernel, q_max: int, wanted, workers: int, *params) -> dict:
     tasks = []
     for t0, r0, r1 in zip(cuts, ranks, ranks[1:]):
         _, pd, _, cd = seek(q_max, t0)
-        tasks.append((q_max, *params, pd, cd, r1 - r0))
+        tasks.append((q_max, lags, pd, cd, r1 - r0))
     results = None
     processes = min(workers, os.cpu_count() or 1, len(tasks))
     if processes > 1:
         pools = globals().get("multiprocessing") or __getattr__("multiprocessing")
         try:
             with pools.Pool(processes) as pool:
-                results = pool.map(kernel, tasks)
+                results = pool.map(_chunk_autocorr, tasks)
         except OSError as exc:
             warnings.warn(
                 f"process pool unavailable ({exc}); running {len(tasks)} chunks serially",
@@ -167,7 +167,7 @@ def _run_chunks(kernel, q_max: int, wanted, workers: int, *params) -> dict:
                 stacklevel=3,
             )
     if results is None:
-        results = [kernel(task) for task in tasks]
+        results = [_chunk_autocorr(task) for task in tasks]
     return {c: [sum(column) for column in zip(*results[:cuts.index(c)])] for c in wanted}
 
 
@@ -369,7 +369,7 @@ def autocorr_sums(q_max: int, lags, ts=(1,), workers: int = 1) -> list[list[int]
     distinct = tuple(sorted(set(mirrored)))
     cuts = {min(t, 1 - t) for t in ts if t < 1}.union([_HALF] if max(ts) > _HALF else [])
     walked = {c: dict(zip(distinct, sums))
-              for c, sums in _run_chunks(_chunk_autocorr, q_max, cuts, workers, distinct).items()}
+              for c, sums in _run_chunks(q_max, distinct, cuts, workers).items()}
     windows = {}
 
     def window_sum(c, s, m):

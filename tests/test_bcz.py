@@ -122,13 +122,23 @@ def test_upper_lower_triangles_and_frequencies():
 
 
 def test_upper_lower_triangles_are_the_vertex_formulas():
-    # the split of region k along y = 2/(k+1), against its vertices written out
+    # the splits of the triangle along 1 + x = k y and 1 + x = (k+1) y, and
+    # of region k along y = 2/(k+1), against their vertices written out
     for k in range(1, 201):
         lower = ConvexPolygon(((F(k, k + 2), F(2, k + 2)), (F(k - 1, k + 1), F(2, k + 1)),
                                (1, F(2, k + 1))))
         upper = ConvexPolygon() if k == 1 else ConvexPolygon(
             ((1, F(2, k)), (F(k - 1, k + 1), F(2, k + 1)), (1, F(2, k + 1))))
         assert upper_lower_triangles(k) == (upper, lower)
+        if k == 1:
+            region = ConvexPolygon(((0, 1), (1, 1), (F(1, 3), F(2, 3))))
+            star = FAREY_TRIANGLE
+        else:
+            corner, edge = (F(k - 1, k + 1), F(2, k + 1)), (1, F(2, k))
+            region = ConvexPolygon((corner, edge, (1, F(2, k + 1)), (F(k, k + 2), F(2, k + 2))))
+            star = ConvexPolygon((corner, edge, (1, 0)))
+        for split, formula in ((region_polygon(k), region), (region_star_polygon(k), star)):
+            assert (split.coords, split.den) == (formula.coords, formula.den)
 
 
 def test_push_forward_identity_and_mirror():
@@ -435,18 +445,12 @@ def test_autocorrelation_constants_do_not_depend_on_build_order(monkeypatch):
     monkeypatch.setattr(bcz, "_map_split", counted)
     values = []
     for order in (range(1, 9), range(8, 0, -1)):
-        monkeypatch.setattr(bcz, "_star_summaries", {})
-        monkeypatch.setattr(bcz, "_deepest_split", {})
+        monkeypatch.setattr(bcz, "_star_splits", {})
         steps.clear()
         values.append({h: compute(h) for h in order})
         assert len(steps) == 33 * 8
     assert values[0] == values[1]
     assert values[0][8] == F(6764311305628664274121, 774761126061499176600)
-    # with the summaries gone, only the depth-8 parts are left: the shallower
-    # depths are split again from star_m
-    monkeypatch.setattr(bcz, "_star_summaries", {})
-    assert compute(3) == values[0][3]
-    assert compute(8) == values[0][8]
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4])

@@ -392,16 +392,15 @@ def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
     # max min(t, 1 - t); t = 1 walks nothing.  Neither starts a chunk
     walks, chunks, starts, steps, halves = [], [], [], [], []
     run_chunks, seek, index_blocks = stats._run_chunks, stats.seek, stats.index_blocks
-    value_counts = stats._index_value_counts
+    chunk_autocorr, value_counts = stats._chunk_autocorr, stats._index_value_counts
 
-    def counted(kernel, order, *args):
-        walks.append((kernel.__name__, order))
+    def counted(order, *args):
+        walks.append((chunk_autocorr.__name__, order))
+        return run_chunks(order, *args)
 
-        def logged(task):
-            chunks.append((order, task[-1]))
-            return kernel(task)
-
-        return run_chunks(logged, order, *args)
+    def logged_chunk(task):
+        chunks.append((task[0], task[-1]))
+        return chunk_autocorr(task)
 
     def logged_seek(order, t):
         starts.append(Fraction(t))
@@ -418,6 +417,7 @@ def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
 
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(stats, "_run_chunks", counted)
+    monkeypatch.setattr(stats, "_chunk_autocorr", logged_chunk)
     monkeypatch.setattr(stats, "seek", logged_seek)
     monkeypatch.setattr(stats, "index_blocks", logged_blocks)
     monkeypatch.setattr(stats, "_index_value_counts", logged_counts)

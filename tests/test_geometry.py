@@ -195,6 +195,7 @@ def test_unimodular_map_rejects_bad_determinant():
     "make, field",
     [
         (lambda: Point2(1, Fraction(1, 2)), "x"),
+        (lambda: ConvexPolygon(((0, 1), (1, 0), (1, Fraction(1, 2)))), "coords"),
         (lambda: UnimodularMap(0, 1, -1, 2), "d"),
         (lambda: OrbitState((Fraction(1), Fraction(1, 2)), (3,)), "kappas"),
         (lambda: PolygonSet((FAREY_TRIANGLE, EMPTY_POLYGON)), "pieces"),
@@ -219,6 +220,8 @@ def test_value_objects_validate_on_construction():
     assert type(Point2(1, 2).x) is Fraction
     with pytest.raises(TypeError):
         Point2(0.5, 1)
+    with pytest.raises(TypeError):
+        ConvexPolygon(((0.5, 0), (1, 0), (1, 1)))
     with pytest.raises(TypeError):
         UnimodularMap(1.0, 0, 0, 1)
     assert PolygonSet((EMPTY_POLYGON, FAREY_TRIANGLE, EMPTY_POLYGON)).pieces == (FAREY_TRIANGLE,)
