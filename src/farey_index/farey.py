@@ -17,9 +17,9 @@ sum(nu) = 3 N(Q) - 1.
 
 The index depends on denominators alone, so the one stream of indices,
 `index_blocks`, carries no numerators; `seek` gives the consecutive pair
-(as plain integers) to start it from at any t, and `farey_ranks` the number
-of steps to any other t.  Python integers never overflow, so arbitrarily
-large Q is safe.
+(as plain integers) to start it from at any t, both ends of one bounded
+Stern-Brocot descent, and `farey_ranks` the number of steps to any other t.
+Python integers never overflow, so arbitrarily large Q is safe.
 
 Every count of F_Q is a Moebius inversion over one table, `_moebius`, which
 is kept for the life of the process and regrown by doubling when an order
@@ -41,44 +41,35 @@ def totient_summatory(q_max: int) -> int:
 
 
 def seek(order: int, t) -> Tuple[int, int, int, int]:
-    """The consecutive pair a/b <= t < a2/q2 of the extended sequence, as (a, b, a2, q2).
+    """The consecutive pair a/b <= t < c/d of the extended sequence, as (a, b, c, d).
 
-    The left neighbor is found by a bounded Stern-Brocot descent with batched
-    mediant steps (O(log Q) iterations), the right neighbor by the modular
-    reconstruction of consecutive pairs.
+    Both neighbors are the ends at which the bounded Stern-Brocot descent
+    toward t stops (O(log Q) iterations); t = 1 pairs 1/1 with its successor
+    (Q + 1)/Q in the next period.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     t = Fraction(t)
     if not (0 <= t <= 1):
         raise ValueError("t must lie in [0, 1]")
-    p, r = t.numerator, t.denominator
-
-    if p == r:  # t == 1
-        a, b = 1, 1
-    else:
-        a, b = 0, 1
-        for a, b, _, _ in _left_moves(order, p, r):
-            pass  # the last left end is the left neighbor
-
-    # successor of a/b: unique q2 in (Q - b, Q] with a*q2 = -1 (mod b)
-    inv = pow(a, -1, b) if b > 1 else 0
-    residue = (-inv) % b
-    q2 = order - ((order - residue) % b)
-    a2 = (1 + a * q2) // b
-    return a, b, a2, q2
+    if t == 1:
+        return 1, 1, order + 1, order
+    a, b, c, d = 0, 1, 1, 1
+    for a, b, c, d, _ in _descent(order, t.numerator, t.denominator):
+        pass
+    return a, b, c, d
 
 
-def _left_moves(order: int, p: int, r: int) -> Iterator[Tuple[int, int, int, int]]:
-    """The left-end moves of the bounded Stern-Brocot descent toward p/r in [0, 1).
+def _descent(order: int, p: int, r: int) -> Iterator[Tuple[int, int, int, int, int]]:
+    """The moves of the bounded Stern-Brocot descent toward p/r in [0, 1).
 
     The descent keeps Farey neighbors a/b <= p/r < c/d, from 0/1 and 1/1, and
     replaces one end by their mediant while its denominator b + d is at most
     Q, so it ends at the neighbors of p/r in F_Q.  Runs of mediant steps on
-    one side are batched (O(log Q) iterations).  Each run of j >= 1 steps of
-    the left end, all toward the same c/d, yields (a, b, d, j) with a/b the
-    new left end; the elements it passes are a/b and the j - 1 before it,
-    over b - j d + i d for i = 1..j.
+    one side are batched (O(log Q) iterations), and each run yields the new
+    ends as (a, b, c, d, j).  A run of j >= 1 steps of the left end, all
+    toward the same c/d, passes a/b and the j - 1 elements before it, over
+    b - j d + i d for i = 1..j; a run of the right end yields j = 0.
     """
     a, b, c, d = 0, 1, 1, 1
     while b + d <= order:
@@ -88,7 +79,7 @@ def _left_moves(order: int, p: int, r: int) -> Iterator[Tuple[int, int, int, int
             den = c * r - p * d
             j = min(num // den, (order - b) // d)
             a, b = a + j * c, b + j * d
-            yield a, b, d, j
+            yield a, b, c, d, j
         else:
             # mediant > t: batch-move the right endpoint toward t
             num = c * r - p * d
@@ -97,6 +88,7 @@ def _left_moves(order: int, p: int, r: int) -> Iterator[Tuple[int, int, int, int
             if den > 0:
                 j = min((num - 1) // den, j)
             c, d = c + j * a, d + j * b
+            yield a, b, c, d, 0
 
 
 _mu: Tuple[int, ...] = ()  # mu(0..n) for the largest n sieved so far

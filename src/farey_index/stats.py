@@ -82,24 +82,17 @@ _HALF = Fraction(1, 2)
 # analytic constants for the second-moment prediction
 # ---------------------------------------------------------------------------
 
-# Both constants are the doubles that series evaluations gave (the harmonic-sum
-# expansion at n = 10^4; the log series to 2*10^4 terms with an Euler-Maclaurin
-# tail), within 4e-14 of the true values; pinned, the `moment` payloads keep
-# every digit.
-
-def euler_gamma() -> float:
-    """Euler's constant."""
-    return 0.5772156649014979
-
-
-def zeta_prime_over_zeta_two() -> float:
-    """zeta'(2)/zeta(2)."""
-    return -0.56996099309453
+# Euler's constant and zeta'(2)/zeta(2), the doubles that series evaluations
+# gave (the harmonic-sum expansion at n = 10^4; the log series to 2*10^4 terms
+# with an Euler-Maclaurin tail), within 4e-14 of the true values; pinned, the
+# `moment` payloads keep every digit.
+EULER_GAMMA = 0.5772156649014979
+ZETA_PRIME_OVER_ZETA_TWO = -0.56996099309453
 
 
 def second_moment_prediction(q_max: int) -> float:
     """Leading term of the sum of squared indices over F_Q."""
-    c = math.log(2 * q_max) - zeta_prime_over_zeta_two() - 17 / 8 + 2 * euler_gamma()
+    c = math.log(2 * q_max) - ZETA_PRIME_OVER_ZETA_TWO - 17 / 8 + 2 * EULER_GAMMA
     return 24 / math.pi**2 * q_max**2 * c
 
 
@@ -186,7 +179,7 @@ def __getattr__(name: str):
 
 
 def _index_of(q_max: int, c: Fraction) -> int:
-    """The index of c, an element of F_Q or 0/1, which has index 2Q.
+    """The index of c, an element of F_Q.
 
     It is floor((Q + q')/q) for either neighbor denominator q', so the
     successor's, which `seek` gives, serves as well.
@@ -241,8 +234,8 @@ def partial_index_sums(q_max: int, ts) -> list[int]:
     gap identity of the module docstring then gives the sum as
         3 (R - V) + sum_i (floor((Q + b_{i-1})/b_i) - floor((Q - b_i)/b_{i-1})),
     and a run of j moves toward one right end over d telescopes to
-    2 j + floor((Q - d)/b_i) - floor((Q - d)/b_{i-j}): O(log Q) steps and one
-    Farey rank per t.
+    2 j + floor((Q - d)/b_i) - floor((Q - d)/b_{i-j}), which is 0 for a move
+    of the right end (j = 0): O(log Q) steps and one Farey rank per t.
     """
     ts = _walk_args(ts, allow_zero=True)
     sums = []
@@ -251,7 +244,7 @@ def partial_index_sums(q_max: int, ts) -> list[int]:
         if t == 1:
             total -= 1  # 3 N(Q) - 1, the gap (0/1, 1/1) and nu(1/1) = 2Q
         else:
-            for _, b, d, j in farey._left_moves(q_max, t.numerator, t.denominator):
+            for _, b, _, d, j in farey._descent(q_max, t.numerator, t.denominator):
                 total += (q_max - d) // b - (q_max - d) // (b - j * d) - j
         sums.append(total)
     return sums
@@ -267,7 +260,7 @@ def sum_index(q_max: int) -> int:
     """
     half = sum(map(sum, index_blocks(q_max, 1, q_max, farey_ranks(q_max, [_HALF])[0])))
     tail = _index_of(q_max, _HALF) if q_max > 1 else 0  # T(1/2, [1/2 in F_Q])
-    return half - _mirror(_index_of(q_max, Fraction(0)), half, tail)
+    return half - _mirror(2 * q_max, half, tail)  # T(0, 1): nu_0 = 2Q
 
 
 def partial_index_sum(q_max: int, t) -> int:
@@ -629,7 +622,7 @@ def moment_records(q_max: int, alphas) -> list[StatRecord]:
         raise ValueError("need Q >= 2")
     hist = index_histogram(q_max)
     exact = {alpha: _power_sum(hist, alpha) for alpha in alphas}
-    n = totient_summatory(q_max)
+    n = sum(hist.values())
     records = []
     for alpha in alphas:
         if alpha == 2:

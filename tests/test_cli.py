@@ -652,6 +652,46 @@ def test_json_format_is_a_usage_error_where_unsupported(capsys, monkeypatch, arg
     assert f"{argv[0]}: --format json is not supported" in err
 
 
+def tail_certificate_fails(monkeypatch):
+    def fail(h, *args):
+        raise bcz.TailCertificateError(f"tail of A({h}) escapes the cutoff")
+
+    monkeypatch.setattr(bcz, "autocorrelation_constant", fail)
+
+
+def region_scan_gives_up(monkeypatch):
+    # T^h star_m is split afresh, and the scan stops at region 4; this table
+    # needs region 11, so 12 is the lowest limit at which it completes
+    monkeypatch.setattr(bcz, "_star_splits", {})
+    monkeypatch.setattr(bcz, "_REGION_SCAN_LIMIT", 4)
+
+
+@pytest.mark.parametrize(
+    "argv, abort, message",
+    [
+        (("constants", "--h", "2"), tail_certificate_fails, "tail of A(2) escapes the cutoff"),
+        (("converge", "S_h", "--q-list", "30", "--h", "2"), tail_certificate_fails,
+         "tail of A(2) escapes the cutoff"),
+        (("tables", "--h", "3", "--M", "3"), region_scan_gives_up,
+         "region decomposition did not terminate"),
+    ],
+)
+def test_aborted_run_exits_one_without_payload_or_manifest(tmp_path, capsys, monkeypatch,
+                                                           argv, abort, message):
+    abort(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"error: {message}" in err
+    assert "manifest" not in err
+    path = tmp_path / "payload.csv"
+    abort(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (1, "")
+    assert f"error: {message}" in err
+    assert path.read_text() == ""
+    assert not (tmp_path / "payload.csv.manifest.json").exists()
+
+
 def test_visible_json_payload(capsys):
     code, out, _ = run_cli(capsys, "visible", "--scale", "10", "--square", "--format", "json")
     assert code == 0

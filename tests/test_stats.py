@@ -30,10 +30,10 @@ from farey_index import (
 )
 from farey_index import bcz, farey, stats
 from farey_index.stats import (
-    euler_gamma,
+    EULER_GAMMA,
+    ZETA_PRIME_OVER_ZETA_TWO,
     index_histogram,
     second_moment_prediction,
-    zeta_prime_over_zeta_two,
 )
 
 from conftest import (
@@ -494,9 +494,9 @@ def test_visible_points_density_trend():
 def test_analytic_constants_against_mpmath():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 25
-    assert abs(euler_gamma() - float(mp.euler)) < 1e-13
+    assert abs(EULER_GAMMA - float(mp.euler)) < 1e-13
     reference = float(mp.zeta(2, derivative=1) / mp.zeta(2))
-    assert abs(zeta_prime_over_zeta_two() - reference) < 1e-13
+    assert abs(ZETA_PRIME_OVER_ZETA_TWO - reference) < 1e-13
 
 
 def test_second_moment_record():
