@@ -57,7 +57,7 @@ def _parse_fraction_list(text: str) -> list[Fraction]:
 
 
 # The most chunks --workers may cut a walk into: every chunk costs a Farey rank,
-# O(Q), and a seek, O(log Q), before any walk (256 add about 0.15 s at Q = 3000).
+# O(Q), and a seek, O(log Q), before any walk (256 add about 0.06 s at Q = 3000).
 MAX_WORKERS = 256
 
 

@@ -21,10 +21,10 @@ The index depends on denominators alone, so the one stream of indices,
 Stern-Brocot descent, and `farey_ranks` the number of steps to any other t.
 Python integers never overflow, so arbitrarily large Q is safe.
 
-Every count of F_Q is a Moebius inversion over one table, `_moebius`, which
-is kept for the life of the process and regrown by doubling when an order
-outgrows it: the ranks here, N(Q) as the rank of 1, and the lattice counts
-of `stats`.
+Every count of F_Q, the ranks and N(Q) here and the lattice counts of
+`stats`, is sum_d mu(d) G(floor(n/d)) over the O(sqrt n) `_moebius_runs` of
+d sharing floor(n/d), which sum one table of mu kept for the process.  Only
+`stats.visible_points_count` loops over each d: its edges depend on d.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ _BLOCK = 4096  # most indices one list of `index_blocks` holds
 
 
 def totient_summatory(q_max: int) -> int:
-    """N(Q) = sum of Euler phi(j) for j <= Q, the rank of 1 in F_Q."""
-    return farey_ranks(q_max, (1,))[0]
+    """N(Q) = sum of phi(j), j <= Q: the pairs a <= q <= m number m(m + 1)/2, one term per run."""
+    return sum(w * m * (m + 1) // 2 for m, w in _moebius_runs(q_max, q_max))
 
 
 def seek(order: int, t) -> Tuple[int, int, int, int]:
@@ -121,29 +121,43 @@ def _moebius(n: int) -> Tuple[int, ...]:
     return _mu
 
 
+def _moebius_runs(n: int, d_max: int) -> list[Tuple[int, int]]:
+    """[(m, w)], ascending in d, for the runs of d <= d_max sharing m = floor(n/d).
+
+    w sums mu(d) over the run, so sum_d mu(d) G(floor(n/d)) is sum w G(m).
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    mu, runs, d = _moebius(d_max), [], 1
+    while d <= d_max:
+        m = n // d
+        end = min(n // m, d_max) + 1
+        runs.append((m, sum(mu[d:end])))
+        d = end
+    return runs
+
+
 def farey_ranks(order: int, cuts) -> list[int]:
-    """#{gamma in F_Q : gamma <= t} for each t in `cuts`, over the shared Moebius table.
+    """#{gamma in F_Q : gamma <= t} for each t in `cuts`, over the Moebius runs of Q.
 
     The pairs (a, q) with 1 <= q <= m and 1 <= a <= t q number
     S_t(m) = sum_{q <= m} floor(t q); removing the non-reduced ones by Moebius
-    inversion leaves sum_d mu(d) S_t(floor(Q/d)).  O(Q) time per cut point,
-    and no memory beyond the table.
+    inversion leaves sum_d mu(d) S_t(floor(Q/d)), one S_t(m) per run.  O(Q)
+    time per cut point, and no memory beyond the table and the runs.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    mu = _moebius(order)
+    runs = _moebius_runs(order, order)[::-1]
     ranks = []
     for t in cuts:
         t = Fraction(t)
         if not (0 <= t <= 1):
             raise ValueError("t must lie in [0, 1]")
         p, r = t.numerator, t.denominator
-        rank = s = m = 0  # s = S_t(m); m = floor(Q/d) grows as d falls
-        for d in range(order, 0, -1):
-            while m < order // d:
-                m += 1
-                s += p * m // r
-            rank += mu[d] * s
+        rank = s = k = 0  # s = S_t(k)
+        for m, w in runs:
+            while k < m:
+                k += 1
+                s += p * k // r
+            rank += w * s
         ranks.append(rank)
     return ranks
 

@@ -7,12 +7,12 @@ routes.
 The lattice route counts instead of walking.  The consecutive denominators
 (q', q) of F_Q are exactly the coprime pairs with q, q' <= Q < q + q', and
 for fixed q the index nu = floor((Q+q')/q) takes one of the two values
-floor(2Q/q) - 1 and floor(2Q/q) on two ranges of q'.  The Moebius table
-every count shares, `farey._moebius`, counts the coprime q' on each range,
-so the whole index histogram costs O(Q log Q); the power moments and the
-Hall-Shiu count are read off it.  Coprime lattice points of a scaled polygon
-are counted the same way, by Moebius inversion over the common divisor and a
-column count in the polygon's integer edge inequalities.
+floor(2Q/q) - 1 and floor(2Q/q) on two ranges of q'.  Moebius inversion on
+the runs of `farey._moebius_runs` counts the coprime q' on each range, so
+the whole index histogram costs O(Q^(3/4)) beyond the Moebius table; the
+power moments and the Hall-Shiu count are read off it.  Coprime lattice
+points of a scaled polygon are counted by Moebius inversion over each common
+divisor d, whose edge inequalities depend on d, and a column count in them.
 
 The gap identity closes the partial index sums.  Let a/b < c/d be
 neighbors of some F_r, r <= Q, and n the number of elements of F_Q strictly
@@ -269,49 +269,34 @@ def partial_index_sum(q_max: int, t) -> int:
 
 
 @lru_cache(maxsize=1)  # `identities` reads the histogram and the count identity per order
-def _index_pair_counts(q_max: int) -> Tuple[list, list]:
-    """Per denominator q, the elements of F_Q over q with index m_q - 1 and with m_q.
+def _lattice_counts(q_max: int) -> Tuple[dict, int]:
+    """(index histogram, count of elements of index floor(2Q/q) - 1 over q) of F_Q.
 
-    m_q = floor(2Q/q).  The elements of F_Q over q correspond one to one to
-    their predecessor denominators q', which are the q' coprime to q in
-    (Q - q, Q], and each has index floor((Q+q')/q): m_q - 1 for q' in
-    (Q - q, m_q q - Q - 1] and m_q for q' in (m_q q - Q - 1, Q].  The coprime q' in a range (a, b]
-    number sum over d | q of mu(d) (floor(b/d) - floor(a/d)), so adding each
-    squarefree d to its multiples q gives both lists in O(Q log Q).  Returns
-    (low, high), indexed by q (entry 0 unused); the lists are shared by the
-    callers of the cached order, which only read them.
+    The elements over q match the q' coprime to q in (Q - q, Q], of index
+    floor((Q + q')/q).  Of the j multiples of d there, q = j d, h = [b even] +
+    (b mod j) have index M = floor(b/j), b = floor(2Q/d), and j - h have M - 1;
+    Moebius inversion sums w G(b) over the runs of b, where G(b) sums h and
+    j - h over each run of j <= b/2 sharing M as arithmetic series.  The
+    histogram is shared by the callers of the cached order.
     """
-    if q_max < 1:
-        raise ValueError("order must be >= 1")
-    mu = farey._moebius(q_max)
-    low = [0] * (q_max + 1)
-    high = [0] * (q_max + 1)
-    cut = [0] + [(2 * q_max // q) * q - q_max - 1 for q in range(1, q_max + 1)]
-    for d in range(1, q_max + 1):
-        m = mu[d]
-        if m:
-            top = q_max // d
-            # q = j d: floor((Q - q)/d) = top - j, so the low range holds
-            # floor(cut/d) - top + j multiples of d and the high one top - floor(cut/d)
-            for j, q in enumerate(range(d, q_max + 1, d), 1):
-                h = top - cut[q] // d
-                high[q] += m * h
-                low[q] += m * (j - h)
-    return low, high
+    counts, low = Counter(), 0
+    for b, w in farey._moebius_runs(2 * q_max, q_max):
+        j, half, even = 1, b // 2, 1 - b % 2
+        while w and j <= half:
+            m = b // j
+            end = min(b // m, half)
+            js = (j + end) * (end - j + 1) // 2  # the sum of j over the run
+            hs = (end - j + 1) * (b + even) - m * js  # the sum of h
+            counts[m] += w * hs
+            counts[m - 1] += w * (js - hs)
+            low += w * (js - hs)
+            j = end + 1
+    return {k: c for k, c in sorted(counts.items()) if c}, low
 
 
 def index_histogram(q_max: int) -> dict:
-    """Exact counts {index value: occurrences} over F_Q, ascending in the index value.
-
-    Read off the lattice counts of `_index_pair_counts`; no walk.
-    """
-    low, high = _index_pair_counts(q_max)
-    counts = Counter()
-    for q in range(1, q_max + 1):
-        m = 2 * q_max // q
-        counts[m - 1] += low[q]
-        counts[m] += high[q]
-    return {k: c for k, c in sorted(counts.items()) if c}
+    """Exact counts {index value: occurrences} over F_Q, ascending; a copy, the cache is shared."""
+    return dict(_lattice_counts(q_max)[0])
 
 
 def _power_sum(hist: dict, alpha: Fraction) -> Union[int, float]:
@@ -509,14 +494,14 @@ def hall_shiu_identity(q_max: int) -> Tuple[int, int]:
     """Both sides of the exact closed-form count identity; they must be equal.
 
     lhs counts fractions whose index equals floor(2Q/q) - 1 for their
-    denominator q, the sum of the low lattice counts; rhs is
+    denominator q, the low count of `_lattice_counts`; rhs is
     Q(2Q+1) - N(2Q) - 2N(Q) + 1.  The identity holds for every Q >= 1.  With
     the threshold floor((2Q+1)/q) - 1 instead, the count exceeds the rhs by
     sum of phi(d) over the divisors d <= Q of 2Q+1 (those denominators admit
     only the lower index value), so that variant agrees with no similarly
     clean closed form.
     """
-    lhs = sum(_index_pair_counts(q_max)[0])
+    lhs = _lattice_counts(q_max)[1]
     rhs = q_max * (2 * q_max + 1) - totient_summatory(2 * q_max) - 2 * totient_summatory(q_max) + 1
     return lhs, rhs
 

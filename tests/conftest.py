@@ -9,7 +9,9 @@ points.  The exceptions walk with the package's recurrence: `index_sequence`
 `seek` that carries numerators), `full_period_sums`, which sums over the
 whole period, the route the walk statistics replaced by the mirror
 identities, and `brute_lu_counts`, the per-element threshold test that the
-index-value counts replaced.
+index-value counts replaced.  `per_denominator_lattice_counts` counts the
+index histogram one denominator at a time over its own mu sieve, the route
+the sums over Moebius runs replaced.
 Areas of unions of polygons come from clipping every pair of pieces with the
 public `clip_convex`, never from the region profiles that
 `star_intersection_area` reads.  The region sweep is redone in `Fraction`
@@ -148,6 +150,49 @@ def brute_lu_counts(order, ks, t):
                 high[k] += 1
         pd, cd = cd, k * cd - pd
     return [(low[k], high[k]) for k in ks]
+
+
+def brute_moebius(n):
+    """mu(0..n) by an Eratosthenes sieve (mu[0] is unused)."""
+    mu = [1] * (n + 1)
+    prime = [True] * (n + 1)
+    for p in range(2, n + 1):
+        if prime[p]:
+            for m in range(p, n + 1, p):
+                prime[m] = m == p
+                mu[m] = -mu[m]
+            for m in range(p * p, n + 1, p * p):
+                mu[m] = 0
+    return mu
+
+
+def per_denominator_lattice_counts(q_max):
+    """(index histogram, count of index floor(2Q/q) - 1) of F_Q, one denominator q at a time.
+
+    The elements over q are the q' coprime to q in (Q - q, Q], of index
+    m_q - 1 for q' <= m_q q - Q - 1 and m_q above, m_q = floor(2Q/q).  Each
+    squarefree d adds mu(d) times its multiples in both ranges to every
+    q = j d, in O(Q log Q), into two lists indexed by q.
+    """
+    mu = brute_moebius(q_max)
+    low = [0] * (q_max + 1)
+    high = [0] * (q_max + 1)
+    cut = [0] + [(2 * q_max // q) * q - q_max - 1 for q in range(1, q_max + 1)]
+    for d in range(1, q_max + 1):
+        if mu[d]:
+            top = q_max // d
+            # q = j d: floor((Q - q)/d) = top - j, so the low range holds
+            # floor(cut/d) - top + j multiples of d and the high one top - floor(cut/d)
+            for j, q in enumerate(range(d, q_max + 1, d), 1):
+                h = top - cut[q] // d
+                high[q] += mu[d] * h
+                low[q] += mu[d] * (j - h)
+    counts = {}
+    for q in range(1, q_max + 1):
+        m = 2 * q_max // q
+        counts[m - 1] = counts.get(m - 1, 0) + low[q]
+        counts[m] = counts.get(m, 0) + high[q]
+    return {k: c for k, c in sorted(counts.items()) if c}, sum(low)
 
 
 def brute_partial(q_max, ts):

@@ -36,6 +36,7 @@ from conftest import (
     brute_indices,
     brute_lu,
     brute_lu_counts,
+    brute_moebius,
     brute_partial,
     brute_totient_summatory,
     brute_visible_count,
@@ -44,6 +45,7 @@ from conftest import (
     hull,
     index_sequence,
     interval_walk,
+    per_denominator_lattice_counts,
     shoelace2,
     symmetric_difference_area,
 )
@@ -272,6 +274,35 @@ def test_lattice_counts_match_brute_force(q):
     assert stats.index_histogram(q) == dict(Counter(nus))
     lhs, _ = stats.hall_shiu_identity(q)
     assert lhs == sum(1 for nu, d in zip(nus, dens) if nu == (2 * q) // d - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 3000))
+@example(q=10**4)
+@example(q=30011)
+def test_lattice_counts_match_the_per_denominator_count(q):
+    # the sums over Moebius runs give the histogram and the count identity's
+    # left side of the per-denominator count they replaced
+    hist, low = per_denominator_lattice_counts(q)
+    assert list(stats.index_histogram(q).items()) == list(hist.items())
+    assert stats.hall_shiu_identity(q)[0] == low
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3000), halved=st.booleans())
+def test_moebius_runs_tile_the_divisors(n, halved):
+    # each run is the next maximal block of d sharing floor(n/d) = m, and its
+    # weight sums mu over the block; the blocks end at d_max
+    d_max = n // 2 if halved else n
+    mu = brute_moebius(n)
+    d = 1
+    for m, w in farey._moebius_runs(n, d_max):
+        start = d
+        while d <= d_max and n // d == m:
+            d += 1
+        assert d > start, (n, d_max, m)
+        assert w == sum(mu[start:d]), (n, d_max, m)
+    assert d == d_max + 1
 
 
 @st.composite

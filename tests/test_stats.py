@@ -1,6 +1,7 @@
 """Exact index statistics against brute enumeration and their predictions."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,28 @@ def test_index_histogram_matches_oracle():
         for nu in nus:
             expected[nu] = expected.get(nu, 0) + 1
         assert index_histogram(q) == expected
+
+
+def test_index_histogram_is_a_fresh_dict():
+    # the lattice counts are cached and shared by the callers of one order
+    first = index_histogram(50)
+    expected = dict(first)
+    first[1] += 7
+    first[10**6] = 1
+    assert index_histogram(50) == expected
+
+
+def test_index_histogram_holds_no_list_per_denominator():
+    # lists indexed by q peaked at 11.6 MB at this order; the runs are O(sqrt Q)
+    farey._moebius(10**5)
+    stats._lattice_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        index_histogram(10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_autocorr_examples():
