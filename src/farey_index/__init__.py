@@ -3,7 +3,7 @@
 The package has four library layers and a CLI:
 
     geometry   exact integer-vertex convex polygons, clipping, unimodular maps
-    farey      the Farey index stream, seeking, and ranks over one Moebius table
+    farey      the Farey index stream, seeking, and ranks over one Mertens table
     bcz        the area-preserving transfer map on the Farey triangle, its
                region decomposition, push-forwards and exact constants
     stats      exact index statistics at scale, paired with their predictions

@@ -522,8 +522,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _progress(str(exc))
         return 2
-    except ValueError as exc:  # an aborted run: every GeometryError is a ValueError
-        _progress(f"error: {exc}")
+    except (ValueError, MemoryError) as exc:  # aborted: every GeometryError is a ValueError
+        _progress(f"error: {exc if isinstance(exc, ValueError) else 'out of memory'}")
         return 1
 
 

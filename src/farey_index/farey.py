@@ -23,13 +23,16 @@ Python integers never overflow, so arbitrarily large Q is safe.
 
 Every count of F_Q, the ranks and N(Q) here and the lattice counts of
 `stats`, is sum_d mu(d) G(floor(n/d)) over the O(sqrt n) `_moebius_runs` of
-d sharing floor(n/d), which sum one table of mu kept for the process.  Only
+d sharing floor(n/d), weighted by one Mertens table kept for the process.  Only
 `stats.visible_points_count` loops over each d: its edges depend on d.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from itertools import accumulate, compress
+from math import isqrt
 from typing import Iterator, Tuple
 
 _BLOCK = 4096  # most indices one list of `index_blocks` holds
@@ -91,49 +94,49 @@ def _descent(order: int, p: int, r: int) -> Iterator[Tuple[int, int, int, int, i
             yield a, b, c, d, 0
 
 
-_mu: Tuple[int, ...] = ()  # mu(0..n) for the largest n sieved so far
+_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # mu -> -mu on the bytes mu mod 256
+_mertens = memoryview(array("i")).toreadonly()  # M(0..n) for the largest n sieved so far
 
 
-def _sieve_moebius(n: int) -> Tuple[int, ...]:
-    """mu(0..n) by an Eratosthenes sieve (mu[0] is unused)."""
-    mu = [1] * (n + 1)
-    composite = bytearray(n + 1)
-    for p in range(2, n + 1):
-        if not composite[p]:  # p prime
-            for m in range(p, n + 1, p):
-                composite[m] = 1
-                mu[m] = -mu[m]
-            for m in range(p * p, n + 1, p * p):
-                mu[m] = 0
-    return tuple(mu)
+def _sieve_mertens(n: int) -> array:
+    """M(0..n), M(k) = mu(1) + ... + mu(k), summed from mu mod 256 sieved by byte slices."""
+    prime = bytearray(b"\x01") * (n + 1)
+    for p in range(2, isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(n // p - p + 1)
+    mu = bytearray(1) + b"\x01" * n  # mu(0) = 0 makes M(0) = 0
+    for p in compress(range(2, n + 1), prime[2:]):
+        mu[p::p] = mu[p::p].translate(_NEGATE)
+        mu[p * p::p * p] = bytes(n // (p * p))
+    return array("i", accumulate(memoryview(mu).cast("b")))
 
 
-def _moebius(n: int) -> Tuple[int, ...]:
-    """mu(0..m) for some m >= n, read-only, from the one table every count shares.
+def _mertens_table(n: int) -> memoryview:
+    """M(0..m) for some m >= n, read-only, from the one table every count shares.
 
     A request beyond the table resieves it to at least twice its length, so
     requests up to n cost at most log2(n + 1) + 1 sieves, and the table never
     holds more than 2n + 1 entries for the largest n requested.
     """
-    global _mu
-    if n >= len(_mu):
-        _mu = _sieve_moebius(max(n, 2 * len(_mu)))
-    return _mu
+    global _mertens
+    if n >= len(_mertens):
+        _mertens = memoryview(_sieve_mertens(max(n, 2 * len(_mertens)))).toreadonly()
+    return _mertens
 
 
 def _moebius_runs(n: int, d_max: int) -> list[Tuple[int, int]]:
     """[(m, w)], ascending in d, for the runs of d <= d_max sharing m = floor(n/d).
 
-    w sums mu(d) over the run, so sum_d mu(d) G(floor(n/d)) is sum w G(m).
+    w = M(end) - M(d - 1) sums mu over the run, so sum_d mu(d) G(floor(n/d)) is sum w G(m).
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    mu, runs, d = _moebius(d_max), [], 1
+    mertens, runs, d = _mertens_table(d_max), [], 1
     while d <= d_max:
         m = n // d
-        end = min(n // m, d_max) + 1
-        runs.append((m, sum(mu[d:end])))
-        d = end
+        end = min(n // m, d_max)
+        runs.append((m, mertens[end] - mertens[d - 1]))
+        d = end + 1
     return runs
 
 

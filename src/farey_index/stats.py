@@ -9,7 +9,7 @@ The lattice route counts instead of walking.  The consecutive denominators
 for fixed q the index nu = floor((Q+q')/q) takes one of the two values
 floor(2Q/q) - 1 and floor(2Q/q) on two ranges of q'.  Moebius inversion on
 the runs of `farey._moebius_runs` counts the coprime q' on each range, so
-the whole index histogram costs O(Q^(3/4)) beyond the Moebius table; the
+the whole index histogram costs O(Q^(3/4)) beyond the Mertens table; the
 power moments and the Hall-Shiu count are read off it.  Coprime lattice
 points of a scaled polygon are counted by Moebius inversion over each common
 divisor d, whose edge inequalities depend on d, and a column count in them.
@@ -511,7 +511,7 @@ def visible_points_count(p: ConvexPolygon, scale: int) -> int:
 
     Moebius inversion over the common divisor d of a point gives
     sum_d mu(d) * #(integer points of (scale/d) * p other than the origin),
-    and d runs up to the largest coordinate of scale * p.  Each edge of
+    d <= the largest coordinate of scale * p, mu(d) = M(d) - M(d - 1).  Each edge of
     scale * p is an integer inequality a x + b y >= c / den, so (u, v) lies in
     (scale/d) * p iff a u + b v >= ceil(c / (den d)) on every edge; the points
     are counted column by column, in integers only, in O(scale log scale).
@@ -533,10 +533,10 @@ def visible_points_count(p: ConvexPolygon, scale: int) -> int:
     x_lo = min(x for x, _ in coords) * scale
     x_hi = max(x for x, _ in coords) * scale
     reach = max(max(abs(x), abs(y)) for x, y in coords) * scale // den
-    mu = farey._moebius(reach)
+    mertens = farey._mertens_table(reach)
     total = 0
     for d in range(1, reach + 1):
-        if not mu[d]:
+        if not (mu := mertens[d] - mertens[d - 1]):
             continue
         dd = den * d
         below = [(a, b, -(-c // dd)) for a, b, c in lower]
@@ -547,7 +547,7 @@ def visible_points_count(p: ConvexPolygon, scale: int) -> int:
             v_hi = min((c - a * u) // b for a, b, c in above)
             if v_hi >= v_lo:
                 count += v_hi - v_lo + 1
-        total += mu[d] * count
+        total += mu * count
     return total
 
 

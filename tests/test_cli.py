@@ -35,19 +35,19 @@ def test_identities_pass(capsys):
 def test_identities_sieves_one_growing_moebius_table(capsys, monkeypatch):
     # every order 1..60 is checked, and the count identity asks N(2Q) = N(120):
     # one shared table, regrown by doubling, sieves O(log Q) times, not per order
-    sieve = farey._sieve_moebius
+    sieve = farey._sieve_mertens
     passes = []
 
     def logged_sieve(n):
         passes.append(n)
         return sieve(n)
 
-    monkeypatch.setattr(farey, "_mu", ())
-    monkeypatch.setattr(farey, "_sieve_moebius", logged_sieve)
+    monkeypatch.setattr(farey, "_mertens", farey._mertens[:0])
+    monkeypatch.setattr(farey, "_sieve_mertens", logged_sieve)
     code, out, _ = run_cli(capsys, "identities", "--q", "60")
     assert code == 0 and "identities: PASS (60/60)" in out
     assert 1 <= len(passes) <= math.ceil(math.log2(120)) + 1
-    assert 121 <= len(farey._mu) <= 2 * 120 + 1
+    assert 121 <= len(farey._mertens) <= 2 * 120 + 1
 
 
 def test_identities_walks_the_index_sum(capsys, monkeypatch):
@@ -659,6 +659,15 @@ def tail_certificate_fails(monkeypatch):
     monkeypatch.setattr(bcz, "autocorrelation_constant", fail)
 
 
+def sieve_runs_out_of_memory(monkeypatch):
+    # a scale of 10^12 asks a Mertens table of 10^12 entries; the patched
+    # sieve fails as that allocation would, without asking for the memory
+    def fail(n):
+        raise MemoryError
+
+    monkeypatch.setattr(farey, "_sieve_mertens", fail)
+
+
 def region_scan_gives_up(monkeypatch):
     # T^h star_m is split afresh, and the scan stops at region 4; this table
     # needs region 11, so 12 is the lowest limit at which it completes
@@ -674,6 +683,8 @@ def region_scan_gives_up(monkeypatch):
          "tail of A(2) escapes the cutoff"),
         (("tables", "--h", "3", "--M", "3"), region_scan_gives_up,
          "region decomposition did not terminate"),
+        (("visible", "--scale", "1000000000000", "--k", "100000"), sieve_runs_out_of_memory,
+         "out of memory"),
     ],
 )
 def test_aborted_run_exits_one_without_payload_or_manifest(tmp_path, capsys, monkeypatch,

@@ -1,7 +1,9 @@
 """The index stream, seeking, ranks and the walk, checked against brute enumeration."""
 
 import math
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -33,15 +35,28 @@ def test_moebius_table_is_shared_and_grows_by_doubling(monkeypatch):
         primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
         return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
 
-    monkeypatch.setattr(farey, "_mu", ())
+    monkeypatch.setattr(farey, "_mertens", farey._mertens[:0])
     largest = 0
     for n in (10, 3, 11, 50, 49, 200, 1):
         largest = max(largest, n)
-        mu = farey._moebius(n)
-        assert isinstance(mu, tuple)  # read-only: callers share it
-        assert n + 1 <= len(mu) <= 2 * largest + 1
-        assert all(mu[k] == brute_mu(k) for k in range(1, len(mu)))
-    assert farey._moebius(100) is farey._moebius(7)  # no resieve inside the table
+        mertens = farey._mertens_table(n)
+        with pytest.raises(TypeError):  # read-only: callers share it
+            mertens[1] = 0
+        assert n + 1 <= len(mertens) <= 2 * largest + 1
+        assert list(mertens) == list(accumulate(map(brute_mu, range(1, len(mertens))), initial=0))
+    assert farey._mertens_table(100) is farey._mertens_table(7)  # no resieve inside the table
+
+
+def test_mertens_sieve_holds_bytes_per_entry():
+    # a list or tuple of 10^6 entries alone takes 8 MB of pointers; the
+    # byte slices and the int32 table of M take about 6 MB
+    tracemalloc.start()
+    try:
+        farey._sieve_mertens(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
 
 
 def test_farey_rank_against_sorted_fractions():

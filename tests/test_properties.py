@@ -138,13 +138,13 @@ def test_index_sequence_is_even(q):
     order=st.sampled_from(("ascending", "descending", "as drawn")),
 )
 def test_totient_summatory_over_a_grown_or_larger_table(qs, order):
-    # N(Q) reads the shared Moebius table: sieved for Q, regrown past it, or
+    # N(Q) reads the shared Mertens table: sieved for Q, regrown past it, or
     # left larger by an earlier order, it gives the phi sieve's count; each
     # order is asked twice, the second time from a table that holds it
     if order != "as drawn":
         qs = sorted(qs, reverse=order == "descending")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(farey, "_mu", ())
+        patch.setattr(farey, "_mertens", farey._mertens[:0])
         for q in qs + qs:
             assert stats.totient_summatory(q) == brute_totient_summatory(q), (qs, q)
 

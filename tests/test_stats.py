@@ -93,7 +93,7 @@ def test_index_histogram_is_a_fresh_dict():
 
 def test_index_histogram_holds_no_list_per_denominator():
     # lists indexed by q peaked at 11.6 MB at this order; the runs are O(sqrt Q)
-    farey._moebius(10**5)
+    farey._mertens_table(10**5)
     stats._lattice_counts.cache_clear()
     tracemalloc.start()
     try:
