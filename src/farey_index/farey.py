@@ -29,6 +29,7 @@ d sharing floor(n/d), weighted by one Mertens table kept for the process.  Only
 
 from __future__ import annotations
 
+import sys
 from array import array
 from fractions import Fraction
 from itertools import accumulate, compress
@@ -100,14 +101,16 @@ _mertens = memoryview(array("i")).toreadonly()  # M(0..n) for the largest n siev
 
 def _sieve_mertens(n: int) -> array:
     """M(0..n), M(k) = mu(1) + ... + mu(k), summed from mu mod 256 sieved by byte slices."""
+    root = isqrt(n)
     prime = bytearray(b"\x01") * (n + 1)
-    for p in range(2, isqrt(n) + 1):
+    for p in range(2, root + 1):
         if prime[p]:
             prime[p * p::p] = bytes(n // p - p + 1)
     mu = bytearray(1) + b"\x01" * n  # mu(0) = 0 makes M(0) = 0
+    for p in compress(range(2, root + 1), prime[2:root + 1]):
+        mu[p * p::p * p] = bytes(n // (p * p))  # a negation keeps a 0
     for p in compress(range(2, n + 1), prime[2:]):
         mu[p::p] = mu[p::p].translate(_NEGATE)
-        mu[p * p::p * p] = bytes(n // (p * p))
     return array("i", accumulate(memoryview(mu).cast("b")))
 
 
@@ -116,9 +119,12 @@ def _mertens_table(n: int) -> memoryview:
 
     A request beyond the table resieves it to at least twice its length, so
     requests up to n cost at most log2(n + 1) + 1 sieves, and the table never
-    holds more than 2n + 1 entries for the largest n requested.
+    holds more than 2n + 1 entries for the largest n requested.  An n whose
+    table a bytearray cannot index is refused before anything is allocated.
     """
     global _mertens
+    if n >= sys.maxsize:
+        raise ValueError(f"order {n} is too large: a Mertens table is indexed up to {sys.maxsize - 1}")
     if n >= len(_mertens):
         _mertens = memoryview(_sieve_mertens(max(n, 2 * len(_mertens)))).toreadonly()
     return _mertens
@@ -166,13 +172,26 @@ def farey_ranks(order: int, cuts) -> list[int]:
 
 
 def index_blocks(order: int, pd: int, cd: int, steps: int) -> Iterator[list[int]]:
-    """Indices of the `steps` elements after denominators (pd, cd), in lists of <= _BLOCK."""
+    """Indices of the `steps` elements after denominators (pd, cd), in lists of <= _BLOCK.
+
+    Each pass takes two steps: the first overwrites pd with the next
+    denominator, so the pair reads (newer, older) and the second step writes
+    cd back in the order (older, newer); no tuple is built per step.
+    """
     while steps > 0:
         block = []
         append = block.append
-        for _ in range(min(steps, _BLOCK)):
+        n = min(steps, _BLOCK)
+        for _ in range(n >> 1):
+            k = (order + pd) // cd
+            append(k)
+            pd = k * cd - pd
+            k = (order + cd) // pd
+            append(k)
+            cd = k * pd - cd
+        if n & 1:
             k = (order + pd) // cd
             append(k)
             pd, cd = cd, k * cd - pd
-        steps -= len(block)
+        steps -= n
         yield block

@@ -26,8 +26,9 @@ Stern-Brocot descent toward t, it gives the sum over (0, t] from rank(t) in
 O(log Q) steps (`partial_index_sums`); over all of F_Q it is Hall-Shiu's
 3 N(Q) - 1.  With r = floor(Q/2) every gap holds two chains, and its
 indices run 1, 2, ..., 2, 3, 2, ..., 2, 1 (`_run_counts`), so the counts of
-index values over (0, c] come from a walk of F_r, about a quarter of the
-elements of F_Q up to c (`_index_value_counts`, for the threshold counts).
+index values between two elements of F_r come from a walk of F_r, about a
+quarter of the elements of F_Q between them (`_index_value_counts`, for
+the threshold counts).
 
 The walk route reads the denominator-only recurrence (one division per
 element) through the stream `farey.index_blocks`.  It serves the
@@ -46,21 +47,26 @@ where for S_h the left side sums nu_i nu_{i+g}.  At c = 1/2 it gives the
 whole period (S_s with d = s) from the walk of (0, 1/2], and at c = 1 - t
 every 1/2 < t < 1 from the sums up to 1 - t.  (L, U) applies it to its
 counts of index values, with W(1) read off the lattice histogram, so t = 1
-walks nothing; it needs only those counts, because every element over q has
-index floor((2Q+1)/q) - 1 or floor((2Q+1)/q) and the denominators below a
-bound are counted by a Farey rank.  The walk of S_h is split into chunks at
-`workers` equal slices of its range and at every min(t, 1 - t).  Each chunk
-starts from the denominators `seek` finds at its left end and runs for an
-exact step count, the difference of the Farey ranks of its two ends, so no
-kernel carries numerators or compares fractions; a serial run has one chunk
-per cut.  The value at a cut is the sum of the chunk results up to it.
+walks nothing, and at c = 1/2, so a cut c in (1/4, 1/2] is the count over
+(0, 1/2] less the mirror of a walk from 1/2 to 1 - c; it needs only those
+counts, because every element over q has index floor((2Q+1)/q) - 1 or
+floor((2Q+1)/q) and the denominators below a bound are counted by a Farey
+rank.  The walk of S_h is split into chunks at `workers` equal slices of
+its range and at every min(t, 1 - t).  Each chunk starts from the
+denominators `seek` finds at its left end and runs for an exact step count,
+the difference of the Farey ranks of its two ends, so no kernel carries
+numerators or compares fractions; a serial run has one chunk per cut.  The
+chunks run on processes forked for the walk (`_forked_map`), at most one
+per CPU, this one included, and their results come back marshalled over a
+pipe.  The value at a cut is the sum of the chunk results up to it.
 Partial results merge associatively, so results are identical for every
 chunk count, which is what makes `workers` a pure throughput knob.  Only
-the S_h functions take it: `sum_index` and the walk of F_{Q/2} behind
+the S_h functions take it: `sum_index` and the walks of F_{Q/2} behind
 (L, U) run in one process, and the other routes walk nothing."""
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 import warnings
@@ -135,9 +141,10 @@ def _run_chunks(q_max: int, lags, wanted, workers: int) -> dict:
     each wanted c and at `workers` equal slices of (0, T], so one walk serves
     every cut.  Each chunk starts from the denominators `seek` finds at its
     left end and runs for the exact step count rank(t1) - rank(t0), so no
-    kernel needs a fraction.  The pool never has more processes than the
-    host has CPUs; the chunks, and so every merged result, do not depend on
-    it.  `multiprocessing` is imported only when a pool starts.
+    kernel needs a fraction.  The chunks run in `_forked_map` on at most as
+    many processes as the host has CPUs, or serially, with a RuntimeWarning,
+    where no process can be forked; the chunks, and so every merged result,
+    do not depend on it.
     """
     t_end = max(wanted)
     cuts = sorted({t_end * j / workers for j in range(workers + 1)}.union(wanted))
@@ -149,13 +156,11 @@ def _run_chunks(q_max: int, lags, wanted, workers: int) -> dict:
     results = None
     processes = min(workers, os.cpu_count() or 1, len(tasks))
     if processes > 1:
-        pools = globals().get("multiprocessing") or __getattr__("multiprocessing")
         try:
-            with pools.Pool(processes) as pool:
-                results = pool.map(_chunk_autocorr, tasks)
+            results = _forked_map(tasks, processes)
         except OSError as exc:
             warnings.warn(
-                f"process pool unavailable ({exc}); running {len(tasks)} chunks serially",
+                f"forked workers unavailable ({exc}); running {len(tasks)} chunks serially",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -164,18 +169,66 @@ def _run_chunks(q_max: int, lags, wanted, workers: int) -> dict:
     return {c: [sum(column) for column in zip(*results[:cuts.index(c)])] for c in wanted}
 
 
-def __getattr__(name: str):
-    """`stats.multiprocessing`, imported on first use, so a serial run never loads it.
+def _forked_map(tasks: list, processes: int) -> list:
+    """[`_chunk_autocorr`(task) for task in tasks], shared by this process and processes - 1 forks.
 
-    The module global it sets is the one `_run_chunks` reads, so replacing
-    `stats.multiprocessing`, or its `Pool`, substitutes the pool.
+    The tasks are dealt largest first, each to the share with the fewest
+    steps so far; this process runs the first share while each forked child
+    runs one other and writes its results, marshalled, down its own pipe
+    before `os._exit`.  A child that does not exit 0 has its share run here
+    again, so a chunk's exception surfaces from this process.  Every child
+    is reaped before this returns or raises; one still running then (this
+    process raised first) is killed.  OSError: no process could be forked,
+    or os.fork is missing, and nothing is left running.
     """
-    if name == "multiprocessing":
-        import multiprocessing
+    if not hasattr(os, "fork"):
+        raise OSError("os.fork is missing")
+    shares, loads = [[] for _ in range(processes)], [0] * processes
+    for i in sorted(range(len(tasks)), key=lambda i: tasks[i][-1], reverse=True):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += tasks[i][-1]
+    results = [None] * len(tasks)
+    children = {}  # pid -> (the read end of its pipe, its share), until reaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if not pid:  # the child: it never returns from here
+                status = 1
+                try:
+                    payload = marshal.dumps([_chunk_autocorr(tasks[i]) for i in share])
+                    with open(write, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = open(read, "rb"), share
+        for i in shares[0]:
+            results[i] = _chunk_autocorr(tasks[i])
+        for pid, (pipe, share) in list(children.items()):
+            with pipe:
+                payload = pipe.read()  # up to the end the child's exit makes
+            del children[pid]
+            failed = os.waitpid(pid, 0)[1]
+            values = [_chunk_autocorr(tasks[i]) for i in share] if failed else marshal.loads(payload)
+            for i, value in zip(share, values):
+                results[i] = value
+    finally:
+        if children:
+            import signal  # only a run that raised kills
 
-        globals()[name] = multiprocessing
-        return multiprocessing
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+            for pid, (pipe, _) in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
 
 
 def _index_of(q_max: int, c: Fraction) -> int:
@@ -403,34 +456,35 @@ def _run_counts(q_max: int, b: int, d: int, m: int, counts: Counter) -> None:
         m -= n
 
 
-def _index_value_counts(q_max: int, cuts) -> dict:
-    """{c: Counter of the indices of F_Q over (0, c]} for each c in `cuts`, all c < 1, from one walk.
+def _index_value_counts(q_max: int, cuts, start=Fraction(0)) -> dict:
+    """{c: Counter of the indices of F_Q over (start, c]} for each c in `cuts`, from one walk.
 
-    The walk runs over F_s, s = floor(Q/2), up to max(cuts): about a quarter
-    of the elements of F_Q up to it.  An element of F_s over b, after one
-    over p, has index floor((Q - p)/b) + floor((Q + p)/b) >= 3 in F_Q, and
-    each of the G gaps of F_s up to c holds a run of `_run_counts`.  Of the
-    elements in them, G + C have index 1, C index 3 and the rest index 2,
-    where C counts the gaps with two chains: 2b + d <= Q and b + 2d <= Q.  A cut not
-    in F_s lies in a gap, which adds the first rank_Q(c) - rank_Q(x) entries
-    of its run, x the gap's left end.
+    start is 0/1 or 1/2, an element of F_s, s = floor(Q/2), and every cut
+    lies in [start, 1).  The walk runs over F_s from start up to max(cuts):
+    about a quarter of the elements of F_Q there.  An element of F_s over b,
+    next to one over p, has index floor((Q - p)/b) + floor((Q + p)/b) >= 3
+    in F_Q, and each of the G gaps of F_s from start up to c holds a run of
+    `_run_counts`.  Of the elements in them, G + C have index 1, C index 3
+    and the rest index 2, where C counts the gaps with two chains:
+    2b + d <= Q and b + 2d <= Q.  A cut not in F_s lies in a gap, which adds
+    the first rank_Q(c) - rank_Q(x) entries of its run, x the gap's left end.
     """
     s = q_max // 2
     cuts = sorted(cuts)
-    if not s:  # F_1 has no element below 1
+    if not (s and cuts):  # F_1 has no element below 1
         return {c: Counter() for c in cuts}
-    steps = farey_ranks(s, cuts)
+    first, *steps = farey_ranks(s, [start] + cuts)
     ends = [seek(s, c) for c in cuts]
-    ranks = farey_ranks(q_max, cuts + [Fraction(a, b) for a, b, _, _ in ends])
+    base, *ranks = farey_ranks(q_max, [start] + cuts + [Fraction(a, b) for a, b, _, _ in ends])
     ranks, gap_starts = ranks[:len(cuts)], ranks[len(cuts):]
     values, counts = Counter(), {}
-    b, d = 1, s  # the denominators of 0/1 and 1/s
+    _, b, _, d = seek(s, start)  # the denominators of start and its successor in F_s
     done = double = 0  # elements of F_s walked; gaps with two chains among them
     for i, c in enumerate(cuts):
-        while done < steps[i]:
+        while done < steps[i] - first:
             block = []
             append = block.append
-            for _ in range(min(steps[i] - done, farey._BLOCK)):
+            for _ in range(min(steps[i] - first - done, farey._BLOCK)):
                 l = (q_max - b) // d
                 append(l + (q_max + b) // d)
                 if l > 1 and 2 * b + d <= q_max:
@@ -440,7 +494,7 @@ def _index_value_counts(q_max: int, cuts) -> dict:
             done += len(block)
         at_c = values.copy()
         at_c[1] += done + double
-        at_c[2] += gap_starts[i] - 2 * done - 2 * double
+        at_c[2] += gap_starts[i] - base - 2 * done - 2 * double
         at_c[3] += double
         _, left, _, right = ends[i]
         _run_counts(q_max, left, right, ranks[i] - gap_starts[i], at_c)
@@ -449,7 +503,7 @@ def _index_value_counts(q_max: int, cuts) -> dict:
 
 
 def lu_count_table(q_max: int, ks, ts=(1,)) -> list[list[Tuple[int, int]]]:
-    """(L, U) for every k in `ks` (rows) and cutoff t in `ts` (columns), from one walk of F_{Q/2}.
+    """(L, U) for every k in `ks` (rows) and cutoff t in `ts` (columns), from walks of F_{Q/2}.
 
     Every element over q has index floor((2Q+1)/q) - 1 or floor((2Q+1)/q),
     so an element of index k counts in L(k) iff q <= c_k, with
@@ -458,23 +512,41 @@ def lu_count_table(q_max: int, ks, ts=(1,)) -> list[list[Tuple[int, int]]]:
         L(k) = #{gamma <= t : q <= c_k} - #{i <= R : nu_i > k},
         U(k) = #{i <= R : nu_i = k} - L(k),
     where the first count is the rank of t in F_{c_k}.  The counts of index
-    values come from `_index_value_counts` at each min(t, 1 - t), and above
-    1/2 from the mirror identity with the counts over all of F_Q read off
-    the lattice histogram, so t = 1 walks nothing.  The walk runs in this
-    process.
+    values are needed over (0, c] at each c = min(t, 1 - t), and over all of
+    F_Q, which the lattice histogram gives, so t = 1 walks nothing.  A cut
+    c <= 1/4 is walked from 0/1 by `_index_value_counts`.  Above 1/4 (for
+    Q >= 4, so that 1/2 is in F_s) the counts over (0, c] are those over
+    (0, 1/2], (histogram - {2Q} + {nu(1/2)})/2 by the mirror identity at
+    c = 1/2, less those over (c, 1/2], the mirror image of [1/2, 1 - c),
+    walked from 1/2.  Either walk covers at most min(c, 1/2 - c), a quarter
+    of F_s at most.  Above 1/2 the mirror identity closes every t from the
+    counts up to 1 - t.  The walks run in this process.
     """
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
     ts = _walk_args(ts)
-    counts = _index_value_counts(q_max, {min(t, 1 - t) for t in ts if t < 1})
-    if max(ts) > _HALF:
+    cuts = {min(t, 1 - t) for t in ts if t < 1}
+    far = {c for c in cuts if 4 * c > 1 and q_max >= 4}
+    counts = _index_value_counts(q_max, cuts - far)
+    if far or max(ts) > _HALF:
         counts[Fraction(1)] = whole = Counter(index_histogram(q_max))
         head = Counter({2 * q_max: 1})  # T(0, 1): nu_0 = 2Q
-        for t in ts:
-            if _HALF < t < 1:
-                counts[t] = whole - head - counts[1 - t]
-                if t.denominator <= q_max:  # T(1 - t, 1)
-                    counts[t][_index_of(q_max, 1 - t)] += 1
+    if far:
+        middle = _index_of(q_max, _HALF)
+        half = whole - head
+        half[middle] += 1
+        half = Counter({v: n // 2 for v, n in half.items()})  # over (0, 1/2]
+        for end, beyond in _index_value_counts(q_max, {1 - c for c in far}, _HALF).items():
+            # over [1/2, 1 - c): with 1/2, without 1 - c where it is in F_Q
+            beyond[middle] += 1
+            if end.denominator <= q_max:
+                beyond[_index_of(q_max, end)] -= 1
+            counts[1 - end] = half - beyond
+    for t in ts:
+        if _HALF < t < 1:
+            counts[t] = whole - head - counts[1 - t]
+            if t.denominator <= q_max:  # T(1 - t, 1)
+                counts[t][_index_of(q_max, 1 - t)] += 1
     rows = {}
     for k in set(ks):
         c = min(q_max, (2 * q_max + 1) // (k + 1))

@@ -380,6 +380,7 @@ def test_manifest_records_the_requested_workers(capsys, monkeypatch, argv):
         (("partial", "--t", "1"), None),
         (("LU", "--k", "1,3", "--t", "1"), None),
         (("LU", "--k", "2", "--t", "5/6"), "_index_value_counts"),
+        (("LU", "--k", "1,2", "--t", "1/2,3/5,1/7"), "_index_value_counts"),
     ],
 )
 def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
@@ -388,8 +389,10 @@ def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
     # mirror.  The chunks tile (0, T] exactly, every walk starts at a point
     # seek finds at or below T, and none runs more than the largest lag past
     # the end of its chunk.  partial walks nothing: the gap identity closes
-    # every cutoff.  LU walks F_{Q/2}, not F_Q, once per order, up to
-    # max min(t, 1 - t); t = 1 walks nothing.  Neither starts a chunk
+    # every cutoff.  LU walks F_{Q/2}, not F_Q, at most twice per order:
+    # from 0/1 for the cuts c = min(t, 1 - t) up to 1/4 and from 1/2 for the
+    # rest, so that no walk is longer than max min(c, 1/2 - c); t = 1 walks
+    # nothing.  Neither starts a chunk
     walks, chunks, starts, steps, halves = [], [], [], [], []
     run_chunks, seek, index_blocks = stats._run_chunks, stats.seek, stats.index_blocks
     chunk_autocorr, value_counts = stats._chunk_autocorr, stats._index_value_counts
@@ -410,10 +413,10 @@ def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
         steps.append((order, count))
         return index_blocks(order, pd, cd, count)
 
-    def logged_counts(order, cuts):
+    def logged_counts(order, cuts, start=Fraction(0)):
         if cuts:
-            halves.append(("_index_value_counts", order, max(cuts)))
-        return value_counts(order, cuts)
+            halves.append((order, start, max(cuts)))
+        return value_counts(order, cuts, start)
 
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(stats, "_run_chunks", counted)
@@ -428,12 +431,18 @@ def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
     ts = [Fraction(t) for t in options.get("--t", "1").split(",")]
     if argv[0] == "S_h":
         reach = Fraction(1, 2) if max(ts) > Fraction(1, 2) else max(ts)
-    else:
-        reach = max((min(t, 1 - t) for t in ts if t < 1), default=Fraction(0))
-    assert all(t <= reach for t in starts)
+        assert all(t <= reach for t in starts)
+    elif kernel is None:
+        assert starts == []
     if kernel == "_index_value_counts":
+        cuts = {min(t, 1 - t) for t in ts if t < 1}
+        reach = max(min(c, Fraction(1, 2) - c) for c in cuts)
+        near = [c for c in cuts if c <= Fraction(1, 4)]
+        far = [1 - c for c in cuts if c > Fraction(1, 4)]
         assert (walks, steps) == ([], [])
-        assert halves == [(kernel, 30, reach), (kernel, 40, reach)]
+        assert halves == [(q, start, max(ends)) for q in (30, 40)
+                          for start, ends in ((Fraction(0), near), (Fraction(1, 2), far)) if ends]
+        assert all(end - start <= reach for _, start, end in halves)
     elif kernel is None:
         assert (walks, steps, halves) == ([], [], [])
     else:
@@ -668,6 +677,15 @@ def sieve_runs_out_of_memory(monkeypatch):
     monkeypatch.setattr(farey, "_sieve_mertens", fail)
 
 
+def sieve_never_runs(monkeypatch):
+    # an order past the host's index range is refused before any sieve,
+    # which used to fail with an OverflowError traceback
+    def fail(n):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(farey, "_sieve_mertens", fail)
+
+
 def region_scan_gives_up(monkeypatch):
     # T^h star_m is split afresh, and the scan stops at region 4; this table
     # needs region 11, so 12 is the lowest limit at which it completes
@@ -685,6 +703,10 @@ def region_scan_gives_up(monkeypatch):
          "region decomposition did not terminate"),
         (("visible", "--scale", "1000000000000", "--k", "100000"), sieve_runs_out_of_memory,
          "out of memory"),
+        (("converge", "moment", "--q-list", str(10**20), "--alpha", "1"), sieve_never_runs,
+         f"order {10**20} is too large"),
+        (("visible", "--scale", str(10**20), "--square"), sieve_never_runs,
+         f"order {10**20} is too large"),
     ],
 )
 def test_aborted_run_exits_one_without_payload_or_manifest(tmp_path, capsys, monkeypatch,

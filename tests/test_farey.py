@@ -1,6 +1,7 @@
 """The index stream, seeking, ranks and the walk, checked against brute enumeration."""
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -9,7 +10,7 @@ import pytest
 
 from farey_index import farey, seek, totient_summatory
 
-from conftest import brute_farey, brute_indices, farey_rank, index_sequence, interval_walk
+from conftest import brute_farey, brute_indices, brute_moebius, farey_rank, index_sequence, interval_walk
 
 
 def test_totient_summatory_examples():
@@ -45,6 +46,26 @@ def test_moebius_table_is_shared_and_grows_by_doubling(monkeypatch):
         assert n + 1 <= len(mertens) <= 2 * largest + 1
         assert list(mertens) == list(accumulate(map(brute_mu, range(1, len(mertens))), initial=0))
     assert farey._mertens_table(100) is farey._mertens_table(7)  # no resieve inside the table
+
+
+def test_mertens_sieve_matches_a_list_sieve():
+    # the square zeroing runs over the primes to sqrt(n) only, so every
+    # prefix and the n just below and at a prime square are checked
+    table = farey._sieve_mertens(10**6)
+    assert list(table) == list(accumulate(brute_moebius(10**6)[1:], initial=0))
+    assert (table[10**5], table[10**6]) == (-48, 212)  # the published values
+    for n in list(range(0, 400)) + [960, 961, 962, 10**4 - 1, 10**4, 10**5 - 1, 10**5]:
+        assert farey._sieve_mertens(n) == table[:n + 1], n
+
+
+def test_mertens_table_refuses_an_order_past_the_index_range(monkeypatch):
+    def fail(n):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(farey, "_sieve_mertens", fail)
+    for n in (sys.maxsize, 10**20):
+        with pytest.raises(ValueError, match=f"order {n} is too large"):
+            farey._mertens_table(n)
 
 
 def test_mertens_sieve_holds_bytes_per_entry():

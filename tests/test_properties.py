@@ -111,15 +111,27 @@ def test_mirror_route_matches_full_period_walk_property(q, lags, ks, ts, workers
         st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda t: t > 0),
         max_size=3,
     ),
+    inner=st.lists(
+        st.fractions(min_value=Fraction(1, 4), max_value=Fraction(1, 2), max_denominator=60)
+        .filter(lambda t: Fraction(1, 4) < t < Fraction(1, 2)),
+        min_size=1, max_size=2,
+    ),
 )
-def test_lu_counts_match_the_per_element_threshold_test(q, ks, ts):
+def test_lu_counts_match_the_per_element_threshold_test(q, ks, ts, inner):
     # L(k) = rank of t in F_{c_k} - #{nu > k}, U(k) = #{nu = k} - L(k), the
-    # counts up to t > 1/2 closed by the lattice histogram; k = 1, 2Q (the
-    # index of 1/1) and 2Q + 1 (never an index, c_k = 0), t = 1/2, t > 1/2, 1
-    ks = [1, 2 * q, 2 * q + 1] + ks
-    ts = [Fraction(1, 2), Fraction(3, 4), Fraction(1)] + ts
-    table = lu_count_table(q, ks, ts)
-    assert [list(column) for column in zip(*table)] == [brute_lu_counts(q, ks, t) for t in ts]
+    # counts up to t > 1/2 closed by the lattice histogram, and those up to
+    # 1/4 < t <= 1/2 by the counts over (0, 1/2] less a walk from 1/2;
+    # k = 1, 2Q (the index of 1/1) and 2Q + 1 (never an index, c_k = 0),
+    # t = 1/4, 1/2, t in (1/4, 1/2) and its mirror, t > 1/2, 1; and every
+    # Q <= 3, where 1/2 is not in F_{Q/2}
+    for order in (1, 2, 3, q):
+        lu_ks = [1, 2 * order, 2 * order + 1] + ks
+        lu_ts = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)] + ts + inner
+        lu_ts += [1 - t for t in inner]
+        table = lu_count_table(order, lu_ks, lu_ts)
+        assert [list(column) for column in zip(*table)] == [
+            brute_lu_counts(order, lu_ks, t) for t in lu_ts
+        ]
 
 
 @settings(max_examples=40, deadline=None)

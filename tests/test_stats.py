@@ -1,6 +1,7 @@
 """Exact index statistics against brute enumeration and their predictions."""
 
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -322,41 +323,109 @@ def test_multi_parameter_records_match_single_ones():
     assert moment_records(40, alphas) == [rec for a in alphas for rec in moment_records(40, [a])]
 
 
-def test_pool_processes_capped_at_cpu_count(monkeypatch):
-    sizes, task_counts = [], []
+def _no_child_left():
+    # every child of this process has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
 
-        def __enter__(self):
-            return self
+def test_pool_processes_capped_at_cpu_count(monkeypatch, tmp_path):
+    forks, log = [], tmp_path / "chunks"
+    fork, chunk_autocorr = os.fork, stats._chunk_autocorr
 
-        def __exit__(self, *exc):
-            return False
+    def counted_fork():
+        forks.append(1)
+        return fork()
 
-        def map(self, fn, tasks):
-            task_counts.append(len(tasks))
-            return [fn(task) for task in tasks]
+    def logged(task):
+        with open(log, "a") as out:  # appends from both processes
+            out.write(f"{os.getpid()}\n")
+        return chunk_autocorr(task)
 
-    monkeypatch.setattr(stats.multiprocessing, "Pool", InProcessPool)
+    serial = autocorr_sum_interval(60, 2, F(5, 7))
+    monkeypatch.setattr(stats.os, "fork", counted_fork)
+    monkeypatch.setattr(stats, "_chunk_autocorr", logged)
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 2)
     # the walk covers (0, 1/2] in seven equal slices; the cut 1 - 5/7 = 4/14
     # is the end of one of them
-    assert autocorr_sum_interval(60, 2, F(5, 7), workers=7) == autocorr_sum_interval(60, 2, F(5, 7))
-    assert sizes == [2]  # two processes ...
-    assert task_counts == [7]  # ... still running seven chunks
+    assert autocorr_sum_interval(60, 2, F(5, 7), workers=7) == serial
+    assert forks == [1]  # two processes, this one and one child ...
+    pids = log.read_text().split()
+    assert len(pids) == 7 and set(pids) - {str(os.getpid())}  # ... still running seven chunks
+    _no_child_left()
 
 
 def test_pool_failure_warns_and_runs_serially(monkeypatch):
-    def no_pool(processes):
+    fork = os.fork
+    calls = []
+
+    def no_fork():
         raise OSError("no process support")
 
-    monkeypatch.setattr(stats.multiprocessing, "Pool", no_pool)
+    def second_fork_fails():  # the child started first must not outlive the fallback
+        calls.append(1)
+        if len(calls) > 1:
+            raise OSError("no process support")
+        return fork()
+
+    serial = autocorr_sum_interval(80, 2, F(5, 7))
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
-    with pytest.warns(RuntimeWarning, match="serially"):
-        result = autocorr_sum_interval(80, 2, F(5, 7), workers=3)
-    assert result == autocorr_sum_interval(80, 2, F(5, 7))
+    for patch in (lambda: monkeypatch.setattr(stats.os, "fork", no_fork),
+                  lambda: monkeypatch.setattr(stats.os, "fork", second_fork_fails),
+                  lambda: monkeypatch.delattr(stats.os, "fork")):
+        patch()
+        with pytest.warns(RuntimeWarning, match="serially"):
+            assert autocorr_sum_interval(80, 2, F(5, 7), workers=3) == serial
+        _no_child_left()
+    assert calls == [1, 1]
+
+
+def test_forked_workers_match_the_serial_run_and_the_oracle(monkeypatch):
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
+    for q in (1, 2, 7, 31, 60):
+        n = totient_summatory(q)
+        lags, ts = [1, 3, n + 2] + [n - 1] * (n > 1), [F(1, 5), F(1, 2), F(4, 7), F(1)]
+        want = brute_autocorr(q, lags, ts)
+        assert autocorr_sums(q, lags, ts) == want
+        for workers in (2, 3, 4):
+            assert autocorr_sums(q, lags, ts, workers) == want, (q, workers)
+    _no_child_left()
+
+
+def test_a_failing_chunk_raises_here_and_leaves_no_child(monkeypatch):
+    chunk_autocorr, parent = stats._chunk_autocorr, os.getpid()
+    tasks = []
+
+    def logged(task):
+        tasks.append(task)
+        return chunk_autocorr(task)
+
+    monkeypatch.setattr(stats, "_chunk_autocorr", logged)
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)
+    serial = autocorr_sums(200, [1, 2], [F(2, 5)], workers=3)  # the three chunks, in this process
+    assert len(tasks) == 3
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 3)
+    # whichever process runs the failing chunk, its exception surfaces here:
+    # a child's share is run again in this process
+    for bad in tasks:
+        def failing(task, bad=bad):
+            if task == bad:
+                raise ZeroDivisionError(f"chunk of {task[-1]} steps")
+            return chunk_autocorr(task)
+
+        monkeypatch.setattr(stats, "_chunk_autocorr", failing)
+        with pytest.raises(ZeroDivisionError, match=f"chunk of {bad[-1]} steps"):
+            autocorr_sums(200, [1, 2], [F(2, 5)], workers=3)
+        _no_child_left()
+
+    def fails_in_children(task):
+        if os.getpid() != parent:
+            os._exit(3)  # a child that dies without a result
+        return chunk_autocorr(task)
+
+    monkeypatch.setattr(stats, "_chunk_autocorr", fails_in_children)
+    assert autocorr_sums(200, [1, 2], [F(2, 5)], workers=3) == serial
+    _no_child_left()
 
 
 def test_moment_records_walk_one_histogram(monkeypatch):

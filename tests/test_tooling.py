@@ -31,20 +31,24 @@ def test_every_traced_name_resolves():
 
 def test_cli_start_imports_no_heavy_modules(tmp_path):
     # every command pays for what the CLI imports: `dataclasses` (with
-    # `inspect`) and `multiprocessing` cost about 30 ms a process, and only a
-    # pooled walk needs `multiprocessing`.  `partial` and `LU` start no pool
-    # at any --workers, even where two CPUs would allow one.  -S keeps site
-    # hooks out of the count
-    code = ("import os, sys; os.cpu_count = lambda: 2; import farey_index.cli as c; "
+    # `inspect`) and `multiprocessing` cost about 30 ms a process.  The
+    # chunked S_h walk forks its workers without `multiprocessing`, and
+    # `partial` and `LU` fork none at any --workers, even where two CPUs
+    # would allow it.  -S keeps site hooks out of the count
+    code = ("import os, sys; os.cpu_count = lambda: 2; forks = []; fork = os.fork; "
+            "os.fork = lambda: forks.append(1) or fork(); import farey_index.cli as c; "
             "c.build_parser(); sys.argv[1:] and c.main(sys.argv[1:]); "
-            "print(sorted({'dataclasses', 'inspect', 'multiprocessing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'multiprocessing'} & set(sys.modules)), "
+            "len(forks))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = ["--out", str(tmp_path / "rows.csv"), "--workers", "2"]
-    for argv in ([], ["converge", "partial", "--q-list", "60", "--t", "2/5,3/5", *out],
-                 ["converge", "LU", "--q-list", "60", "--k", "1,2", "--t", "3/5", *out]):
+    for argv, forks in (([], 0),
+                        (["converge", "S_h", "--q-list", "60", "--h", "1,2", "--t", "2/5,1", *out], 1),
+                        (["converge", "partial", "--q-list", "60", "--t", "2/5,3/5", *out], 0),
+                        (["converge", "LU", "--q-list", "60", "--k", "1,2", "--t", "3/5", *out], 0)):
         result = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
                                 capture_output=True, text=True, timeout=60, check=True)
-        assert result.stdout.strip() == "[]", argv
+        assert result.stdout.strip() == f"[] {forks}", argv
 
 
 def test_public_surface_is_pinned():
