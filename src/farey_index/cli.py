@@ -57,7 +57,8 @@ def _parse_fraction_list(text: str) -> list[Fraction]:
 
 
 # The most chunks --workers may cut a walk into: every chunk costs a Farey rank,
-# O(Q), and a seek, O(log Q), before any walk (256 add about 0.06 s at Q = 3000).
+# O(sqrt Q log r) for a cut p/r, and a seek, O(log Q), before any walk (256 add
+# about 0.03 s at Q = 3000, most of it the ranks).
 MAX_WORKERS = 256
 
 

@@ -21,10 +21,10 @@ The index depends on denominators alone, so the one stream of indices,
 Stern-Brocot descent, and `farey_ranks` the number of steps to any other t.
 Python integers never overflow, so arbitrarily large Q is safe.
 
-Every count of F_Q, the ranks and N(Q) here and the lattice counts of
-`stats`, is sum_d mu(d) G(floor(n/d)) over the O(sqrt n) `_moebius_runs` of
-d sharing floor(n/d), weighted by one Mertens table kept for the process.  Only
-`stats.visible_points_count` loops over each d: its edges depend on d.
+Every count of F_Q, the ranks and N(Q) here and the lattice counts and
+coprime polygon points of `stats`, is sum_d mu(d) G(floor(n/d)) over the
+`_moebius_runs` of d sharing floor(n/d) for each of a few numerators n,
+O(sqrt n) runs for each, weighted by one Mertens table kept for the process.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ _BLOCK = 4096  # most indices one list of `index_blocks` holds
 
 def totient_summatory(q_max: int) -> int:
     """N(Q) = sum of phi(j), j <= Q: the pairs a <= q <= m number m(m + 1)/2, one term per run."""
-    return sum(w * m * (m + 1) // 2 for m, w in _moebius_runs(q_max, q_max))
+    return sum(w * (m := q_max // d) * (m + 1) // 2 for d, w in _moebius_runs([q_max], q_max))
 
 
 def seek(order: int, t) -> Tuple[int, int, int, int]:
@@ -130,44 +130,57 @@ def _mertens_table(n: int) -> memoryview:
     return _mertens
 
 
-def _moebius_runs(n: int, d_max: int) -> list[Tuple[int, int]]:
-    """[(m, w)], ascending in d, for the runs of d <= d_max sharing m = floor(n/d).
+def _moebius_runs(numerators, d_max: int) -> list[Tuple[int, int]]:
+    """[(d, w)] for the maximal runs d..end of d <= d_max on which every floor(n/d) is constant.
 
-    w = M(end) - M(d - 1) sums mu over the run, so sum_d mu(d) G(floor(n/d)) is sum w G(m).
+    The numerators n are >= 0, and w = M(end) - M(d - 1) sums mu over the
+    run, so sum_d mu(d) G(floor(n/d)) is sum w G(floor(n/d)) over the runs;
+    the runs of w = 0 add nothing and are left out.
     """
-    if n < 1:
+    if d_max < 1:
         raise ValueError("order must be >= 1")
     mertens, runs, d = _mertens_table(d_max), [], 1
     while d <= d_max:
-        m = n // d
-        end = min(n // m, d_max)
-        runs.append((m, mertens[end] - mertens[d - 1]))
+        end = min([d_max] + [n // (n // d) for n in numerators if n >= d])
+        if w := mertens[end] - mertens[d - 1]:
+            runs.append((d, w))
         d = end + 1
     return runs
+
+
+def _floor_sum(n: int, p: int, r: int) -> int:
+    """sum_{k < n} floor(p k / r) for p >= 0 and r >= 1, in O(log r) steps.
+
+    The whole part of p/r (and of an offset b/r, 0 at first) is summed in
+    closed form; what is left counts the lattice points under a line of
+    slope p/r < 1, which, read with the axes swapped, is a sum of the same
+    kind for r/p, so (p, r) shrinks as in Euclid's algorithm.
+    """
+    total = b = 0
+    while True:
+        total += n * (n - 1) // 2 * (p // r) + n * (b // r)
+        p, b = p % r, b % r
+        top = p * n + b
+        if top < r:
+            return total
+        n, b, p, r = top // r, top % r, r, p
 
 
 def farey_ranks(order: int, cuts) -> list[int]:
     """#{gamma in F_Q : gamma <= t} for each t in `cuts`, over the Moebius runs of Q.
 
     The pairs (a, q) with 1 <= q <= m and 1 <= a <= t q number
-    S_t(m) = sum_{q <= m} floor(t q); removing the non-reduced ones by Moebius
-    inversion leaves sum_d mu(d) S_t(floor(Q/d)), one S_t(m) per run.  O(Q)
-    time per cut point, and no memory beyond the table and the runs.
+    S_t(m) = sum_{q <= m} floor(t q), a floor sum; removing the non-reduced
+    ones by Moebius inversion leaves sum_d mu(d) S_t(floor(Q/d)), one floor
+    sum per run: O(sqrt Q log r) time for a cut p/r beyond the table.
     """
-    runs = _moebius_runs(order, order)[::-1]
+    runs = _moebius_runs([order], order)
     ranks = []
     for t in cuts:
         t = Fraction(t)
         if not (0 <= t <= 1):
             raise ValueError("t must lie in [0, 1]")
-        p, r = t.numerator, t.denominator
-        rank = s = k = 0  # s = S_t(k)
-        for m, w in runs:
-            while k < m:
-                k += 1
-                s += p * k // r
-            rank += w * s
-        ranks.append(rank)
+        ranks.append(sum(w * _floor_sum(order // d + 1, t.numerator, t.denominator) for d, w in runs))
     return ranks
 
 

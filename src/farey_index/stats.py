@@ -11,8 +11,9 @@ floor(2Q/q) - 1 and floor(2Q/q) on two ranges of q'.  Moebius inversion on
 the runs of `farey._moebius_runs` counts the coprime q' on each range, so
 the whole index histogram costs O(Q^(3/4)) beyond the Mertens table; the
 power moments and the Hall-Shiu count are read off it.  Coprime lattice
-points of a scaled polygon are counted by Moebius inversion over each common
-divisor d, whose edge inequalities depend on d, and a column count in them.
+points of a scaled polygon are counted by Moebius inversion over the common
+divisor d, whose edge inequalities depend on d only through a few floor(K/d),
+so one column count serves each run of d on which all of them are constant.
 
 The gap identity closes the partial index sums.  Let a/b < c/d be
 neighbors of some F_r, r <= Q, and n the number of elements of F_Q strictly
@@ -241,15 +242,6 @@ def _index_of(q_max: int, c: Fraction) -> int:
     return (q_max + q_next) // q
 
 
-def _mirror(head, walked, tail):
-    """W(1 - c) - W(1) from head = T(0, d + 1), walked = W(c), tail = T(c, d + [c in F_Q]).
-
-    The mirror identity of the module docstring; at c = 1/2 it reads
-    W(1) = W(1/2) - _mirror(...).
-    """
-    return tail - head - walked
-
-
 def _indices_around(q_max: int, t, before: int, after: int) -> list:
     """The indices at positions R - before + 1, ..., R + after, where R = rank(t).
 
@@ -313,7 +305,7 @@ def sum_index(q_max: int) -> int:
     """
     half = sum(map(sum, index_blocks(q_max, 1, q_max, farey_ranks(q_max, [_HALF])[0])))
     tail = _index_of(q_max, _HALF) if q_max > 1 else 0  # T(1/2, [1/2 in F_Q])
-    return half - _mirror(2 * q_max, half, tail)  # T(0, 1): nu_0 = 2Q
+    return half - (tail - 2 * q_max - half)  # the mirror identity at c = 1/2; T(0, 1) = nu_0 = 2Q
 
 
 def partial_index_sum(q_max: int, t) -> int:
@@ -333,9 +325,10 @@ def _lattice_counts(q_max: int) -> Tuple[dict, int]:
     histogram is shared by the callers of the cached order.
     """
     counts, low = Counter(), 0
-    for b, w in farey._moebius_runs(2 * q_max, q_max):
+    for d, w in farey._moebius_runs([2 * q_max], q_max):
+        b = 2 * q_max // d
         j, half, even = 1, b // 2, 1 - b % 2
-        while w and j <= half:
+        while j <= half:
             m = b // j
             end = min(b // m, half)
             js = (j + end) * (end - j + 1) // 2  # the sum of j over the run
@@ -410,9 +403,9 @@ def autocorr_sums(q_max: int, lags, ts=(1,), workers: int = 1) -> list[list[int]
         w, lo = windows[c], span + 1 - m
         return sum(map(mul, w[lo:span + 1], w[lo + s:span + 1 + s]))
 
-    def mirror(c, s, d):  # _mirror at the cut c for the walked lag s
-        return _mirror(window_sum(Fraction(0), s, d + 1), walked[c][s],
-                       window_sum(c, s, d + int(c.denominator <= q_max)))
+    def mirror(c, s, d):  # W(1 - c) - W(1) by the mirror identity, for the walked lag s
+        tail = window_sum(c, s, d + int(c.denominator <= q_max))
+        return tail - window_sum(Fraction(0), s, d + 1) - walked[c][s]
 
     if max(ts) > _HALF:
         whole = {s: walked[_HALF][s] - mirror(_HALF, s, s) for s in distinct}  # S_g = S_s
@@ -583,16 +576,20 @@ def visible_points_count(p: ConvexPolygon, scale: int) -> int:
 
     Moebius inversion over the common divisor d of a point gives
     sum_d mu(d) * #(integer points of (scale/d) * p other than the origin),
-    d <= the largest coordinate of scale * p, mu(d) = M(d) - M(d - 1).  Each edge of
-    scale * p is an integer inequality a x + b y >= c / den, so (u, v) lies in
-    (scale/d) * p iff a u + b v >= ceil(c / (den d)) on every edge; the points
-    are counted column by column, in integers only, in O(scale log scale).
+    d <= the largest coordinate of scale * p.  Each edge of scale * p is an
+    integer inequality a x + b y >= c / den, so (u, v) lies in (scale/d) * p
+    iff a u + b v >= ceil(c / (den d)) = ceil(ceil(c / den) / d) on every
+    edge.  The count thus depends on d only through floor(K/d) for one integer
+    K per edge and per column bound, where floor(K/d) = -1 - floor((-1 - K)/d),
+    so the points are counted column by column, in integers only, once per
+    Moebius run of d on which all of them are constant, weighted by its mu-sum.
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    if not p:
-        return 0
     coords, den = p.coords, p.den
+    reach = max((max(abs(x), abs(y)) for x, y in coords), default=0) * scale // den
+    if not reach:  # no integer point but the origin
+        return 0
     edges = []
     for (ax, ay), (bx, by) in zip(coords, coords[1:] + coords[:1]):
         a, b = ay - by, bx - ax  # counterclockwise: inside is a x + b y >= a ax + b ay
@@ -604,12 +601,9 @@ def visible_points_count(p: ConvexPolygon, scale: int) -> int:
     upper = [edge for edge in edges if edge[1] < 0]
     x_lo = min(x for x, _ in coords) * scale
     x_hi = max(x for x, _ in coords) * scale
-    reach = max(max(abs(x), abs(y)) for x, y in coords) * scale // den
-    mertens = farey._mertens_table(reach)
+    ks = [-c // den for _, _, c in lower + upper] + [-x_lo // den, x_hi // den]
     total = 0
-    for d in range(1, reach + 1):
-        if not (mu := mertens[d] - mertens[d - 1]):
-            continue
+    for d, w in farey._moebius_runs([max(k, -1 - k) for k in ks], reach):
         dd = den * d
         below = [(a, b, -(-c // dd)) for a, b, c in lower]
         above = [(a, b, -(-c // dd)) for a, b, c in upper]
@@ -619,7 +613,7 @@ def visible_points_count(p: ConvexPolygon, scale: int) -> int:
             v_hi = min((c - a * u) // b for a, b, c in above)
             if v_hi >= v_lo:
                 count += v_hi - v_lo + 1
-        total += mu * count
+        total += w * count
     return total
 
 

@@ -301,20 +301,43 @@ def test_lattice_counts_match_the_per_denominator_count(q):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 3000), halved=st.booleans())
-def test_moebius_runs_tile_the_divisors(n, halved):
-    # each run is the next maximal block of d sharing floor(n/d) = m, and its
-    # weight sums mu over the block; the blocks end at d_max
-    d_max = n // 2 if halved else n
-    mu = brute_moebius(n)
-    d = 1
-    for m, w in farey._moebius_runs(n, d_max):
-        start = d
-        while d <= d_max and n // d == m:
-            d += 1
-        assert d > start, (n, d_max, m)
-        assert w == sum(mu[start:d]), (n, d_max, m)
-    assert d == d_max + 1
+@given(ns=st.lists(st.integers(0, 3000), min_size=1, max_size=4), d_max=st.integers(1, 3000))
+@example(ns=[3000], d_max=3000)
+@example(ns=[3000], d_max=1500)
+@example(ns=[0], d_max=40)
+@example(ns=[7, 0, 2999], d_max=3000)
+def test_moebius_runs_tile_the_divisors(ns, d_max):
+    # the maximal blocks of d <= d_max sharing floor(n/d) for every numerator,
+    # 0 and those below d_max included, tile 1..d_max; each run is one block
+    # and its weight sums mu over it, and the blocks of weight 0 are left out
+    mu = brute_moebius(d_max)
+    blocks, start = [], 1
+    for d in range(2, d_max + 2):
+        if d > d_max or any(n // d != n // start for n in ns):
+            blocks.append((start, sum(mu[start:d])))
+            start = d
+    assert farey._moebius_runs(ns, d_max) == [(d, w) for d, w in blocks if w]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 2000), r=st.integers(1, 10**4), data=st.data())
+def test_floor_sum_matches_the_sum_it_names(n, r, data):
+    p = data.draw(st.integers(0, r), label="p")
+    assert farey._floor_sum(n, p, r) == sum(p * k // r for k in range(n))
+    assert farey._floor_sum(n, 0, r) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 300),
+       ts=st.lists(st.one_of(st.sampled_from([Fraction(99, 101), Fraction(1, 9973), Fraction(0), Fraction(1)]),
+                             st.fractions(0, 1, max_denominator=10**4)), min_size=1, max_size=3))
+@example(q=300, ts=[Fraction(99, 101), Fraction(1, 9973), Fraction(9972, 9973)])
+def test_farey_ranks_match_a_coprime_count(q, ts):
+    # rank(t) counts the reduced a/b <= t with b <= Q, also for cutoffs whose
+    # denominator exceeds Q
+    assert farey.farey_ranks(q, ts) == [
+        sum(math.gcd(a, b) == 1 for b in range(1, q + 1) for a in range(1, t.numerator * b // t.denominator + 1))
+        for t in ts]
 
 
 @st.composite

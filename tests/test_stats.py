@@ -562,6 +562,17 @@ def test_visible_points_counts():
             assert visible_points_count(poly, scale) == brute_visible_count(poly, scale)
 
 
+def test_visible_points_pinned_at_large_scales():
+    # counted by a loop over every d <= scale, one column count per d
+    square = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
+    pinned = [(FAREY_TRIANGLE, 5102068, 273810478), (square, 10200041, 547560937),
+              (region_polygon(1), 1701376, 91280140), (region_polygon(2), 1700682, 91270204),
+              (region_polygon(3), 680410, 36510026), (region_polygon(7), 81084, 4347350),
+              (region_star_polygon(2), 3401375, 182540341), (region_star_polygon(5), 680683, 36514027)]
+    for poly, at_4096, at_30011 in pinned:
+        assert [visible_points_count(poly, scale) for scale in (4096, 30011)] == [at_4096, at_30011]
+
+
 def test_visible_points_farey_bijection():
     # lattice points of the closed scaled triangle, minus the coprime points
     # on the closed hypotenuse, are the consecutive-denominator pairs of F_Q
