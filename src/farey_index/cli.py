@@ -22,19 +22,17 @@ byte-identical data for any worker count.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
-import json
 import math
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
 
-from . import __version__, bcz, farey, stats
-from .geometry import ConvexPolygon, polygon_area
-from .stats import StatRecord
+# Each command imports the layers it runs, and `json` and `csv` are imported
+# where they are written, so a process compiles only what its command uses:
+# `orbit` loads `farey` alone, `constants` and `tables` skip `stats`, and
+# `identities` and `converge partial` skip `bcz` and `geometry`.
+from . import __version__
 
 
 def _real(value: float) -> str:
@@ -72,16 +70,16 @@ def _worker_count(text: str) -> int:
     return value
 
 
-# The largest lag whose A(h) has been measured and certified: A(24) takes
-# about 7 s and 33 MB max RSS on a 2-core host (Python 3.11, in-process, fresh
-# caches).  The cost of A(h) and of a star-intersection table grows steeply
-# with h, so a larger --h is refused before any work.
+# The largest lag whose A(h) has been measured and certified: `constants --h 24`
+# takes 4.0-5.5 s and 32 MB max RSS in a fresh process on a 2-core host
+# (Python 3.11, six runs).  The cost of A(h) and of a star-intersection table
+# grows steeply with h, so a larger --h is refused before any work.
 MAX_LAG = 24
 
 
 # Rows per write of a CSV payload.  With an unbuffered standard output
 # (PYTHONUNBUFFERED) every write is a system call, so rows go out in blocks;
-# a block of `orbit` rows holds about 0.25 MB while it is formatted.
+# a block of `orbit` lines holds about 0.2 MB while it is joined.
 _BLOCK_ROWS = 1024
 
 
@@ -99,7 +97,7 @@ class _Output:
     """
 
     def __init__(self, args, command: str, parameters: dict):
-        self.out_path: Optional[str] = getattr(args, "out", None)
+        self.out_path: str | None = getattr(args, "out", None)
         self.format = args.format
         self.command = command
         self.parameters = parameters
@@ -137,6 +135,9 @@ class _Output:
         if self.format == "json":
             self.write_document({"rows": [dict(zip(header, row)) for row in rows]})
             return
+        import csv
+        import io
+
         rows = iter(rows)
         block = [header, *itertools.islice(rows, _BLOCK_ROWS)]
         while block:
@@ -147,10 +148,14 @@ class _Output:
 
     def write_document(self, document: dict) -> None:
         """One JSON document, with the manifest embedded."""
+        import json
+
         document = {**document, "manifest": self.manifest()}
         self.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
     def finish(self) -> None:
+        import json
+
         manifest = json.dumps(self.manifest(), sort_keys=True)
         if self.out_path:
             self.sink.close()
@@ -170,6 +175,8 @@ def _progress(message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_identities(args) -> int:
+    from . import stats
+
     if args.q < 1:
         raise _UsageError("identities: --q must be >= 1")
     if args.format == "json":
@@ -215,6 +222,8 @@ def _constants_usage_problem(args) -> None:
 
 
 def cmd_constants(args) -> int:
+    from . import bcz
+
     _constants_usage_problem(args)
     h_list = args.h or [1]
     alpha_list = args.alpha or []
@@ -265,6 +274,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from . import bcz
+
     if not 1 <= args.h <= MAX_LAG or args.M < 2:
         raise _UsageError(f"tables: need --h in [1, {MAX_LAG}] and --M >= 2")
     with _Output(args, "tables", {"h": args.h, "M": args.M}) as out:
@@ -317,6 +328,8 @@ def _cell(value) -> str:
 
 
 def cmd_converge(args) -> int:
+    from . import stats
+
     q_list = args.q_list or ([args.q] if args.q is not None else [])
     if not q_list or sorted(q_list) != q_list:
         raise _UsageError("converge: need an ascending --q-list")
@@ -333,7 +346,7 @@ def cmd_converge(args) -> int:
             "t": [str(t) for t in (args.t or [])],
         },
     ) as out:
-        records: list[StatRecord] = []
+        records = []
         ts = args.t or [Fraction(1)]
         for q in q_list:
             _progress(f"converge {args.stat}: Q={q}")
@@ -358,6 +371,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from . import farey
+
     if args.format == "json":
         raise _UsageError("orbit: --format json is not supported; the dump is CSV")
     if args.x is not None and args.y is not None and args.q is None:
@@ -371,9 +386,14 @@ def cmd_orbit(args) -> int:
         raise _UsageError("orbit: give either --q >= 1 or both --x and --y")
     if args.r is not None and args.r < 0:
         raise _UsageError("orbit: --r must be >= 0")
-    r = args.r if args.r is not None else (stats.totient_summatory(args.q) if args.q else 10)
+    r = args.r if args.r is not None else (farey.totient_summatory(args.q) if args.q else 10)
     with _Output(args, "orbit", {"x": str(start[0]), "y": str(start[1]), "r": r}) as out:
-        out.write_rows(["i", "L_i", "kappa_i"], _orbit_rows(*start, r))
+        # no field needs CSV quoting, so each line is one f-string; kappa is
+        # empty on the first and last rows
+        lines = itertools.chain(["i,L_i,kappa_i\n"],
+                                (f"{i},{L},{k}\n" for i, L, k in _orbit_rows(*start, r)))
+        while block := "".join(itertools.islice(lines, _BLOCK_ROWS)):
+            out.write(block)
         out.finish()
     return 0
 
@@ -385,6 +405,8 @@ def _orbit_rows(x: Fraction, y: Fraction, r: int):
     L_{i+1} = kappa_i L_i - L_{i-1}; it is printed in lowest terms as
     `str(Fraction)` prints it, without building the Fraction.
     """
+    from . import farey
+
     den = math.lcm(x.denominator, y.denominator)
 
     def ratio(n: int) -> str:
@@ -402,6 +424,9 @@ def _orbit_rows(x: Fraction, y: Fraction, r: int):
 
 
 def cmd_visible(args) -> int:
+    from . import bcz, stats
+    from .geometry import ConvexPolygon, polygon_area
+
     if args.scale < 1:
         raise _UsageError("visible: --scale must be >= 1")
     if any(index is not None and index < 1 for index in (args.k, args.star)):

@@ -76,11 +76,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import mul
-from typing import NamedTuple, Tuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Tuple, Union
 
-from . import bcz, farey
+# `bcz` holds the constants of the predictions: the three record functions
+# that read them import it, so no other route loads the geometry side
+from . import farey
 from .farey import farey_ranks, index_blocks, seek, totient_summatory
-from .geometry import ConvexPolygon
+
+if TYPE_CHECKING:
+    from .geometry import ConvexPolygon
 
 _HALF = Fraction(1, 2)
 
@@ -645,6 +649,8 @@ def _make_record(order, stat, parameter, exact, prediction, bound_form) -> StatR
 
 def autocorr_records(q_max: int, lags, ts=(1,), workers: int = 1) -> list[StatRecord]:
     """One S_h row per (h, t), h outer and t inner, all from one walk of F_Q."""
+    from . import bcz
+
     ts = [Fraction(t) for t in ts]
     n = totient_summatory(q_max)
     records = []
@@ -666,6 +672,8 @@ def moment_records(q_max: int, alphas) -> list[StatRecord]:
     Every alpha, alpha = 1 included, is read off one lattice index histogram;
     F_Q is not walked.
     """
+    from . import bcz
+
     alphas = [Fraction(a) for a in alphas]
     if any(alpha <= 0 for alpha in alphas):
         raise ValueError("alpha must be positive")
@@ -689,6 +697,8 @@ def moment_records(q_max: int, alphas) -> list[StatRecord]:
 
 def lu_table_records(q_max: int, ks, ts=(1,)) -> list[StatRecord]:
     """An L row and a U row per (k, t), k outer and t inner, all from one walk of F_{Q/2}."""
+    from . import bcz
+
     ts = [Fraction(t) for t in ts]
     n = totient_summatory(q_max)
     records = []

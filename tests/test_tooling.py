@@ -1,4 +1,5 @@
-"""The benchmark's tracer can still find every function it wraps; the CLI starts light."""
+"""The benchmark's tracer can still find every function it wraps; the CLI starts light,
+and each command loads only the layers it runs."""
 
 import importlib
 import importlib.util
@@ -49,6 +50,51 @@ def test_cli_start_imports_no_heavy_modules(tmp_path):
         result = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
                                 capture_output=True, text=True, timeout=60, check=True)
         assert result.stdout.strip() == f"[] {forks}", argv
+
+
+_ALL_LAYERS = ["bcz", "farey", "geometry", "stats"]
+
+
+@pytest.mark.parametrize("argv, layers", [
+    ([], []),  # `import farey_index.cli` and the parser
+    (["--help"], []),
+    (["orbit", "--q", "30"], ["farey"]),
+    (["constants", "--h", "1", "--alpha", "1/2", "--k", "2"], ["bcz", "farey", "geometry"]),
+    (["tables", "--h", "1", "--M", "3"], ["bcz", "farey", "geometry"]),
+    (["converge", "partial", "--q-list", "60", "--t", "2/5,1"], ["farey", "stats"]),
+    (["identities", "--q", "20"], ["farey", "stats"]),
+    (["converge", "S_h", "--q-list", "60", "--h", "1"], _ALL_LAYERS),
+    (["converge", "moment", "--q-list", "60", "--alpha", "1,2"], _ALL_LAYERS),
+    (["converge", "LU", "--q-list", "60", "--k", "1", "--t", "2/5"], _ALL_LAYERS),
+    (["visible", "--scale", "20"], _ALL_LAYERS),
+], ids=["import", "help", "orbit", "constants", "tables", "partial", "identities", "S_h",
+        "moment", "LU", "visible"])
+def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
+    # a process without bytecode caches compiles every layer it imports from
+    # source, so a command imports only what it runs
+    code = ("import sys, farey_index.cli as c; c.build_parser()\n"
+            "try:\n    sys.argv[1:] and c.main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+            f"print([n for n in {_ALL_LAYERS!r} if 'farey_index.' + n in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = ["--out", str(tmp_path / "payload")] if argv[1:] else []
+    result = subprocess.run([sys.executable, "-S", "-c", code, *argv, *out], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.splitlines()[-1] == repr(layers)
+
+
+def test_lazy_namespace_resolves_every_public_name():
+    import farey_index
+
+    for name in farey_index.__all__:
+        value = getattr(farey_index, name)
+        if name in _ALL_LAYERS:
+            assert value is importlib.import_module(f"farey_index.{name}")
+        else:
+            home = importlib.import_module(f"farey_index.{farey_index._LAYER_OF[name]}")
+            assert value is getattr(home, name), name
+    assert set(farey_index.__all__) <= set(dir(farey_index))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        farey_index.no_such_name
 
 
 def test_public_surface_is_pinned():
