@@ -341,7 +341,6 @@ def _star_row_sum(h: int, m: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
 def autocorrelation_constant(h: int, block_limit: int | None = None) -> Fraction:
     """The exact rational autocorrelation constant A(h).
 

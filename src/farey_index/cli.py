@@ -92,8 +92,8 @@ class _Output:
 
     The payload is streamed to standard output or to the --out file, which is
     opened here, before any work; CSV rows go out in blocks of `_BLOCK_ROWS`.
-    `finish` writes the manifest.  Use as a context manager, which closes an
-    --out file also when the command stops early.
+    Use as a context manager: its exit closes an --out file, and when the
+    block ran to its end, `finish` writes the manifest.
     """
 
     def __init__(self, args, command: str, parameters: dict):
@@ -114,9 +114,11 @@ class _Output:
     def __enter__(self) -> "_Output":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, *exc_info) -> None:
         if self.out_path:
             self.sink.close()
+        if exc_type is None:
+            self.finish()
 
     def write(self, text: str) -> None:
         self.sink.write(text)
@@ -158,7 +160,6 @@ class _Output:
 
         manifest = json.dumps(self.manifest(), sort_keys=True)
         if self.out_path:
-            self.sink.close()
             with open(self.out_path + ".manifest.json", "w", encoding="utf-8") as fh:
                 fh.write(manifest + "\n")
         else:
@@ -205,7 +206,6 @@ def cmd_identities(args) -> int:
         failed = len({q for q, _ in failures})
         verdict = "PASS" if not failures else "FAIL"
         out.write(f"identities: {verdict} ({args.q - failed}/{args.q})\n")
-        out.finish()
     return 0 if not failures else 1
 
 
@@ -269,7 +269,6 @@ def cmd_constants(args) -> int:
                 out.write(f"B({alpha}) = {entry['value']}{suffix}\n")
             for row in data["frequencies"]:
                 out.write(f"l({row['k']}) = {row['l']}\tu({row['k']}) = {row['u']}\n")
-        out.finish()
     return exit_code
 
 
@@ -289,7 +288,6 @@ def cmd_tables(args) -> int:
         else:
             out.write_rows(["m/n"] + [str(n) for n in range(1, args.M + 1)],
                            ([str(m + 1)] + [str(v) for v in row] for m, row in enumerate(table)))
-        out.finish()
     if not symmetric:
         _progress("tables: symmetry violation in computed table")
         return 1
@@ -366,7 +364,6 @@ def cmd_converge(args) -> int:
         ]
         out.write_rows(["Q", "stat", "param", "exact", "prediction", "ratio", "abs_dev", "error_bound"],
                        rows)
-        out.finish()
     return 0
 
 
@@ -394,7 +391,6 @@ def cmd_orbit(args) -> int:
                                 (f"{i},{L},{k}\n" for i, L, k in _orbit_rows(*start, r)))
         while block := "".join(itertools.islice(lines, _BLOCK_ROWS)):
             out.write(block)
-        out.finish()
     return 0
 
 
@@ -450,7 +446,6 @@ def cmd_visible(args) -> int:
         ratio = count / predicted if predicted else math.nan
         out.write_rows(["region", "scale", "count", "area", "predicted", "ratio"],
                        [[label, args.scale, count, str(area), _real(predicted), _real(ratio)]])
-        out.finish()
     return 0
 
 

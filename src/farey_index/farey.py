@@ -111,6 +111,7 @@ def _sieve_mertens(n: int) -> array:
         mu[p * p::p * p] = bytes(n // (p * p))  # a negation keeps a 0
     for p in compress(range(2, n + 1), prime[2:]):
         mu[p::p] = mu[p::p].translate(_NEGATE)
+    del prime  # the flags need not outlive the sieve while the table grows
     return array("i", accumulate(memoryview(mu).cast("b")))
 
 

@@ -25,11 +25,11 @@ by induction on Q - b - d: with b + d > Q there is nothing between them
 two, whose sums add up to the claim.  Summed along the left ends of the
 Stern-Brocot descent toward t, it gives the sum over (0, t] from rank(t) in
 O(log Q) steps (`partial_index_sums`); over all of F_Q it is Hall-Shiu's
-3 N(Q) - 1.  With r = floor(Q/2) every gap holds two chains, and its
-indices run 1, 2, ..., 2, 3, 2, ..., 2, 1 (`_run_counts`), so the counts of
-index values between two elements of F_r come from a walk of F_r, about a
-quarter of the elements of F_Q between them (`_index_value_counts`, for
-the threshold counts).
+3 N(Q) - 1.  With r = floor(Q/2) every gap holds one or two chains, of
+indices 1, 2, ..., 2, 3, 2, ..., 2, 1 with two, so the counts of index
+values between two points come from a walk of F_r, about a quarter of the
+elements of F_Q between them, and walks of F_Q inside the gaps of F_r at
+either end (`_index_value_counts`, for the threshold counts).
 
 The walk route reads the denominator-only recurrence (one division per
 element) through the stream `farey.index_blocks`.  It serves the
@@ -49,8 +49,8 @@ whole period (S_s with d = s) from the walk of (0, 1/2], and at c = 1 - t
 every 1/2 < t < 1 from the sums up to 1 - t.  (L, U) applies it to its
 counts of index values, with W(1) read off the lattice histogram, so t = 1
 walks nothing, and at c = 1/2, so a cut c in (1/4, 1/2] is the count over
-(0, 1/2] less the mirror of a walk from 1/2 to 1 - c; it needs only those
-counts, because every element over q has index floor((2Q+1)/q) - 1 or
+(0, 1/2] less a walk from c up to 1/2; it needs only those counts,
+because every element over q has index floor((2Q+1)/q) - 1 or
 floor((2Q+1)/q) and the denominators below a bound are counted by a Farey
 rank.  The walk of S_h is split into chunks at `workers` equal slices of
 its range and at every min(t, 1 - t).  Each chunk starts from the
@@ -436,52 +436,48 @@ def autocorr_sum_interval(q_max: int, h: int, t, workers: int = 1) -> int:
     return autocorr_sums(q_max, [h], [t], workers)[0][0]
 
 
-def _run_counts(q_max: int, b: int, d: int, m: int, counts: Counter) -> None:
-    """Add to `counts` the index values of the first m elements of F_Q between neighbors over b, d.
-
-    The neighbors are consecutive in F_s, s = floor(Q/2), so 2(b + d) > Q:
-    the elements between them are over i b + d, i = K..1, then b + j d,
-    j = 2..L, with K = floor((Q - d)/b) and L = floor((Q - b)/d), and their
-    indices run 1, 2, ..., 2, 3, 2, ..., 2, 1; without a left chain (K = 1)
-    the run loses its first 1 and the 3 becomes a 2, and likewise on the right.
-    """
-    k, l = (q_max - d) // b, (q_max - b) // d
-    for value, n in ((1, k > 1), (2, max(k - 2, 0)), (1 + (k > 1) + (l > 1), 1),
-                     (2, max(l - 2, 0)), (1, l > 1)):
-        n = min(n, m)
-        counts[value] += n
-        m -= n
-
-
 def _index_value_counts(q_max: int, cuts, start=Fraction(0)) -> dict:
     """{c: Counter of the indices of F_Q over (start, c]} for each c in `cuts`, from one walk.
 
-    start is 0/1 or 1/2, an element of F_s, s = floor(Q/2), and every cut
-    lies in [start, 1).  The walk runs over F_s from start up to max(cuts):
-    about a quarter of the elements of F_Q there.  An element of F_s over b,
-    next to one over p, has index floor((Q - p)/b) + floor((Q + p)/b) >= 3
-    in F_Q, and each of the G gaps of F_s from start up to c holds a run of
-    `_run_counts`.  Of the elements in them, G + C have index 1, C index 3
-    and the rest index 2, where C counts the gaps with two chains:
-    2b + d <= Q and b + 2d <= Q.  A cut not in F_s lies in a gap, which adds
-    the first rank_Q(c) - rank_Q(x) entries of its run, x the gap's left end.
+    start is any point of [0, 1] and every cut lies in [start, 1].  The walk
+    runs over F_s, s = floor(Q/2), between its last elements at or below
+    start and max(cuts): about a quarter of the elements of F_Q there.  An
+    element of F_s over b, next to one over p, has index floor((Q - p)/b) +
+    floor((Q + p)/b) >= 3 in F_Q.  The gap from it to one over d holds the
+    chains over i b + d, i = K..1, and b + j d, j = 2..L, K = floor((Q - d)/b),
+    L = floor((Q - b)/d), of indices 1, 2, ..., 2, 3, 2, ..., 2, 1, or
+    without one 1 and the 3 if K or L is 1.  So of the elements in the G
+    gaps walked, G + C have index 1, C index 3 and the rest index 2, where C
+    counts the gaps with K, L > 1.  The elements of F_Q from the left end of
+    a gap up to start or a cut inside it, fewer than Q, are walked by
+    `index_blocks`.  F_0 has no gaps: for Q = 1, (start, c] is walked in F_1.
     """
-    s = q_max // 2
     cuts = sorted(cuts)
-    if not (s and cuts):  # F_1 has no element below 1
-        return {c: Counter() for c in cuts}
-    first, *steps = farey_ranks(s, [start] + cuts)
-    ends = [seek(s, c) for c in cuts]
-    base, *ranks = farey_ranks(q_max, [start] + cuts + [Fraction(a, b) for a, b, _, _ in ends])
-    ranks, gap_starts = ranks[:len(cuts)], ranks[len(cuts):]
+    if not cuts:
+        return {}
+    s = q_max // 2
+    points = [start] + cuts
+    ends = [seek(s, t) for t in points] if s else []  # the gap of F_s around each point
+    lefts = [Fraction(a, b) for a, b, _, _ in ends]
+    rank = dict(zip(points + lefts, farey_ranks(q_max, points + lefts)))
+
+    def partial(x, t):  # a Counter of the indices of F_Q over (x, t], walked from x
+        _, pd, _, cd = seek(q_max, x)
+        return Counter(chain.from_iterable(index_blocks(q_max, pd, cd, rank[t] - rank[x])))
+
+    if not s:
+        return {c: partial(start, c) for c in cuts}
+    first, *steps = farey_ranks(s, points)
+    origin, *lefts = lefts
     values, counts = Counter(), {}
-    _, b, _, d = seek(s, start)  # the denominators of start and its successor in F_s
+    values.subtract(partial(origin, start))  # the walk starts at origin, the counts after start
+    _, b, _, d = ends[0]  # the denominators of origin and its successor in F_s
     done = double = 0  # elements of F_s walked; gaps with two chains among them
-    for i, c in enumerate(cuts):
-        while done < steps[i] - first:
+    for c, left, step in zip(cuts, lefts, steps):
+        while done < step - first:
             block = []
             append = block.append
-            for _ in range(min(steps[i] - first - done, farey._BLOCK)):
+            for _ in range(min(step - first - done, farey._BLOCK)):
                 l = (q_max - b) // d
                 append(l + (q_max + b) // d)
                 if l > 1 and 2 * b + d <= q_max:
@@ -491,10 +487,9 @@ def _index_value_counts(q_max: int, cuts, start=Fraction(0)) -> dict:
             done += len(block)
         at_c = values.copy()
         at_c[1] += done + double
-        at_c[2] += gap_starts[i] - base - 2 * done - 2 * double
+        at_c[2] += rank[left] - rank[origin] - 2 * done - 2 * double
         at_c[3] += double
-        _, left, _, right = ends[i]
-        _run_counts(q_max, left, right, ranks[i] - gap_starts[i], at_c)
+        at_c.update(partial(left, c))
         counts[c] = at_c
     return counts
 
@@ -512,33 +507,28 @@ def lu_count_table(q_max: int, ks, ts=(1,)) -> list[list[Tuple[int, int]]]:
     values are needed over (0, c] at each c = min(t, 1 - t), and over all of
     F_Q, which the lattice histogram gives, so t = 1 walks nothing.  A cut
     c <= 1/4 is walked from 0/1 by `_index_value_counts`.  Above 1/4 (for
-    Q >= 4, so that 1/2 is in F_s) the counts over (0, c] are those over
+    Q >= 2, so that 1/2 is in F_Q) the counts over (0, c] are those over
     (0, 1/2], (histogram - {2Q} + {nu(1/2)})/2 by the mirror identity at
-    c = 1/2, less those over (c, 1/2], the mirror image of [1/2, 1 - c),
-    walked from 1/2.  Either walk covers at most min(c, 1/2 - c), a quarter
-    of F_s at most.  Above 1/2 the mirror identity closes every t from the
-    counts up to 1 - t.  The walks run in this process.
+    c = 1/2, less those over (c, 1/2], walked from the least such c up to
+    1/2.  Either walk covers at most min(c, 1/2 - c), a quarter of F_s at
+    most.  Above 1/2 the mirror identity closes every t from the counts up
+    to 1 - t.  The walks run in this process.
     """
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
     ts = _walk_args(ts)
     cuts = {min(t, 1 - t) for t in ts if t < 1}
-    far = {c for c in cuts if 4 * c > 1 and q_max >= 4}
+    far = {c for c in cuts if 4 * c > 1 and q_max >= 2}
     counts = _index_value_counts(q_max, cuts - far)
     if far or max(ts) > _HALF:
         counts[Fraction(1)] = whole = Counter(index_histogram(q_max))
         head = Counter({2 * q_max: 1})  # T(0, 1): nu_0 = 2Q
     if far:
-        middle = _index_of(q_max, _HALF)
-        half = whole - head
-        half[middle] += 1
+        half = whole - head + Counter([_index_of(q_max, _HALF)])
         half = Counter({v: n // 2 for v, n in half.items()})  # over (0, 1/2]
-        for end, beyond in _index_value_counts(q_max, {1 - c for c in far}, _HALF).items():
-            # over [1/2, 1 - c): with 1/2, without 1 - c where it is in F_Q
-            beyond[middle] += 1
-            if end.denominator <= q_max:
-                beyond[_index_of(q_max, end)] -= 1
-            counts[1 - end] = half - beyond
+        walked = _index_value_counts(q_max, far | {_HALF}, min(far))
+        for c in far:
+            counts[c] = half - walked[_HALF] + walked[c]
     for t in ts:
         if _HALF < t < 1:
             counts[t] = whole - head - counts[1 - t]

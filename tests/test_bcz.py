@@ -434,7 +434,6 @@ def test_autocorrelation_constants_do_not_depend_on_build_order(monkeypatch):
     # every (m, depth) split is built once whichever order A(1..8) runs in:
     # star_m is needed to depth 8 for m = 2..34, the rows and the certificate
     # of A(8); a shallower depth is read off its kept summary
-    compute = autocorrelation_constant.__wrapped__
     steps = []
     map_split = bcz._map_split
 
@@ -447,7 +446,7 @@ def test_autocorrelation_constants_do_not_depend_on_build_order(monkeypatch):
     for order in (range(1, 9), range(8, 0, -1)):
         monkeypatch.setattr(bcz, "_star_splits", {})
         steps.clear()
-        values.append({h: compute(h) for h in order})
+        values.append({h: autocorrelation_constant(h) for h in order})
         assert len(steps) == 33 * 8
     assert values[0] == values[1]
     assert values[0][8] == F(6764311305628664274121, 774761126061499176600)

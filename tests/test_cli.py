@@ -390,9 +390,11 @@ def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
     # seek finds at or below T, and none runs more than the largest lag past
     # the end of its chunk.  partial walks nothing: the gap identity closes
     # every cutoff.  LU walks F_{Q/2}, not F_Q, at most twice per order:
-    # from 0/1 for the cuts c = min(t, 1 - t) up to 1/4 and from 1/2 for the
-    # rest, so that no walk is longer than max min(c, 1/2 - c); t = 1 walks
-    # nothing.  Neither starts a chunk
+    # from 0/1 for the cuts c = min(t, 1 - t) up to 1/4 and from the least
+    # of the rest up to 1/2, so that no walk is longer than
+    # max min(c, 1/2 - c); it walks F_Q only inside one gap of F_{Q/2} at a
+    # time, fewer than Q elements; t = 1 walks nothing.  Neither starts a
+    # chunk
     walks, chunks, starts, steps, halves = [], [], [], [], []
     run_chunks, seek, index_blocks = stats._run_chunks, stats.seek, stats.index_blocks
     chunk_autocorr, value_counts = stats._chunk_autocorr, stats._index_value_counts
@@ -438,11 +440,13 @@ def test_converge_walks_each_order_once(capsys, monkeypatch, argv, kernel):
         cuts = {min(t, 1 - t) for t in ts if t < 1}
         reach = max(min(c, Fraction(1, 2) - c) for c in cuts)
         near = [c for c in cuts if c <= Fraction(1, 4)]
-        far = [1 - c for c in cuts if c > Fraction(1, 4)]
-        assert (walks, steps) == ([], [])
-        assert halves == [(q, start, max(ends)) for q in (30, 40)
-                          for start, ends in ((Fraction(0), near), (Fraction(1, 2), far)) if ends]
+        far = [c for c in cuts if c > Fraction(1, 4)]
+        spans = [(Fraction(0), max(near))] if near else []
+        spans += [(min(far), Fraction(1, 2))] if far else []
+        assert walks == []
+        assert halves == [(q, *span) for q in (30, 40) for span in spans]
         assert all(end - start <= reach for _, start, end in halves)
+        assert all(count < order for order, count in steps)
     elif kernel is None:
         assert (walks, steps, halves) == ([], [], [])
     else:

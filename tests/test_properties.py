@@ -389,6 +389,31 @@ def test_partial_sums_and_lu_match_sorted_fractions(q, ks, data):
     assert lu_count_table(q, ks, positive) == brute_lu(q, ks, positive)
 
 
+@st.composite
+def points_of(draw, q):
+    """Points of [0, 1] for order q, over a denominator of F_{q/2}, one in
+    (q/2, q], or one beyond q."""
+    den = draw(st.one_of(st.integers(1, max(q // 2, 1)), st.integers(q // 2 + 1, q),
+                         st.integers(q + 1, 4 * q + 4)))
+    return Fraction(draw(st.integers(0, den)), den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(4, 300), data=st.data())
+def test_index_value_counts_from_any_start_match_a_walk_of_f_q(q, data):
+    # the whole gaps of F_{Q/2} are counted from their runs and the partial
+    # gaps at the start and at each cut walked in F_Q, whatever the start;
+    # Q = 1 has no F_{Q/2}, and Q = 2, 3 only the gap (0/1, 1/1)
+    for order in (1, 2, 3, q):
+        start, *cuts = sorted(data.draw(st.lists(points_of(order), min_size=1, max_size=4)))
+        cuts = set(cuts) | {Fraction(1)}
+        fr, _, nus = brute_indices(order)
+        assert stats._index_value_counts(order, cuts, start) == {
+            c: Counter(nu for f, nu in zip(fr, nus) if start < f <= c) for c in cuts
+        }
+    assert stats._index_value_counts(q, [], start) == {}
+
+
 def test_gap_identity_over_every_gap_of_every_farey_subsequence():
     # for neighbors a/b < c/d of F_r, r <= Q, the n elements of F_Q strictly
     # between them have index sum 3n - floor((Q - d)/b) - floor((Q - b)/d)
